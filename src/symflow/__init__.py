@@ -7,6 +7,9 @@ derivatives along the flow, and classifies two planar families
 (predator-prey and damped oscillator) in closed form.
 """
 
+# read by report.py, so it is set before the submodules are imported
+__version__ = "0.1.0"
+
 from .candidates import (
     CandidatePointMap,
     Classification,
@@ -85,5 +88,3 @@ from .tower import (
     tower_fd_oracle,
 )
 from .verdict import Certainty, CheckKind, Status, Verdict
-
-__version__ = "0.1.0"

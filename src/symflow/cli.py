@@ -22,7 +22,9 @@ Subcommands:
     candidates  recover a candidate map pointwise, write it as CSV
 
 Exit codes: 0 all checks hold / a map exists, 1 a check fails / none exists,
-2 usage or parse errors, 3 inconclusive results / violated hypotheses.
+2 usage, parse or expression errors (such as a division by an expression
+that simplifies to zero), 3 inconclusive results / violated hypotheses /
+a tower entry over the node budget.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .candidates import (
     lotka_volterra_field,
 )
 from .checks import check_structural, check_tower_transform
+from .expr import ExprError
 from .fields import SmoothMap, VectorField, is_involution, is_measure_preserving
 from .flow import IntegratorConfig, check_flow_relation
 from .geometry import DomainBox
@@ -63,7 +66,7 @@ from .report import (
     table_jsonable,
     write_atomic,
 )
-from .tower import Selection, default_selection
+from .tower import Selection, TowerBudgetError, default_selection
 from .verdict import CheckKind, Status, Verdict
 
 EXIT_OK = 0
@@ -425,12 +428,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (SpecError, ParseError) as exc:
+    except (SpecError, ParseError, ExprError, ValueError, OSError) as exc:
         print(f"symflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except TowerBudgetError as exc:
         print(f"symflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -14,9 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import SmoothMap, VectorField, jacobian
+from .fields import SmoothMap, VectorField, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, rk4_step, rk4_variational
+from .numeric import (
+    compile_columns,
+    compile_components,
+    compile_matrix,
+    rk4_march,
+    rk4_path,
+    rk4_variational,
+)
 from .verdict import Certainty, CheckKind, Status, Verdict
 
 TOL_FLOW = 1e-5
@@ -62,20 +69,6 @@ class Trajectory:
         return as_point(self.states[0])
 
 
-def _march(f, z0: np.ndarray, h: float, steps: int, guard: DomainBox):
-    """One-directional march; stops at escape and reports the cause."""
-    states = [z0]
-    z = z0
-    for k in range(steps):
-        z = rk4_step(f, z, h)
-        if not np.all(np.isfinite(z)):
-            return states, f"non-finite state at step {k + 1}"
-        if not guard.contains(z):
-            return states, f"left the inflated domain at step {k + 1}"
-        states.append(z)
-    return states, None
-
-
 def integrate(F: VectorField, z0: Sequence[float], cfg: IntegratorConfig) -> Trajectory:
     """Classic RK4 trajectory over [-T, T], integrated in both directions.
 
@@ -85,18 +78,28 @@ def integrate(F: VectorField, z0: Sequence[float], cfg: IntegratorConfig) -> Tra
     z0 = np.asarray(z0, dtype=float)
     if not F.domain.contains(z0):
         raise ValueError("initial state outside the domain box")
-    f = compile_components(F.components)
     guard = F.domain.inflate(cfg.escape_inflation)
     steps = max(1, round(cfg.horizon / cfg.step))
     h = cfg.horizon / steps
 
-    fwd, cause_f = _march(f, z0, h, steps, guard)
-    bwd, cause_b = _march(f, z0, -h, steps, guard)
+    # path[k, i, row]: coordinate i after k steps, forward in row 0, backward in row 1
+    path, died = rk4_path(compile_columns(F.components), np.stack([z0, z0], axis=-1),
+                          np.array([h, -h]), steps, guard.lows, guard.highs)
 
+    def direction(row):
+        k = int(died[row])
+        if not k:
+            return path[:, :, row], None
+        if np.all(np.isfinite(path[k, :, row])):
+            return path[:k, :, row], f"left the inflated domain at step {k}"
+        return path[:k, :, row], f"non-finite state at step {k}"
+
+    fwd, cause_f = direction(0)
+    bwd, cause_b = direction(1)
     times = np.concatenate(
         [-h * np.arange(len(bwd) - 1, 0, -1), h * np.arange(0, len(fwd))]
     )
-    states = np.vstack([list(reversed(bwd[1:])), fwd])
+    states = np.vstack([bwd[:0:-1], fwd])
     cause = cause_f or cause_b
     return Trajectory(times, states, F, escaped=cause is not None, escape_cause=cause)
 
@@ -129,7 +132,6 @@ def check_flow_relation(
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     box = sample_box or F.domain
-    f = compile_components(F.components)
     sig = compile_components(sigma.components)
     guard = F.domain.inflate(cfg.escape_inflation)
 
@@ -138,25 +140,24 @@ def check_flow_relation(
     Z = box.sample(rng, samples)
     ks = rng.integers(1, steps_total + 1, size=samples)
 
-    def march_batch(z_batch: np.ndarray, step: float):
-        """March everything steps_total steps; record each sample at its k."""
-        picked = np.full_like(z_batch, np.nan)
-        alive = np.ones(len(z_batch), dtype=bool)
-        z = z_batch.copy()
-        with np.errstate(all="ignore"):
-            for k in range(1, steps_total + 1):
-                z = rk4_step(f, z, step)
-                ok = np.all(np.isfinite(z), axis=-1) & guard.contains_rows(z)
-                alive &= ok
-                due = alive & (ks == k)
-                picked[due] = z[due]
-                if not alive.any():
-                    break
-        return picked
+    # one march: rows [0, samples) follow the flow from Z, the rest follow
+    # it (time-reversed for a reversibility) from sigma(Z); each row's state
+    # is picked at its own step k, unless the row escaped before
+    start = np.concatenate([Z, sig(Z)])
+    steps = np.repeat([h, kind.flow_time_sign * h], samples)
+    due_at = np.concatenate([ks, ks])
+    picked = np.full_like(start, np.nan)
 
-    lhs_states = march_batch(Z, h)
-    lhs = sig(lhs_states)
-    rhs = march_batch(sig(Z), kind.flow_time_sign * h)
+    def pick(k, z, alive):
+        due = alive & (due_at == k)
+        if due.any():
+            for i, col in enumerate(z):
+                picked[due, i] = col[due]
+
+    rk4_march(compile_columns(F.components), start.T, steps, steps_total,
+              guard.lows, guard.highs, on_step=pick)
+    lhs = sig(picked[:samples])
+    rhs = picked[samples:]
 
     good = np.all(np.isfinite(lhs), axis=-1) & np.all(np.isfinite(rhs), axis=-1)
     skipped = int(samples - good.sum())
@@ -199,7 +200,7 @@ def check_liouville(
     rng = np.random.default_rng(seed)
     f = compile_components(F.components)
     jac_fn = compile_matrix(jacobian(F).entries)
-    div_fn = compile_components([_divergence_expr(F)])
+    div_fn = compile_components([divergence(F)])
     guard = F.domain.inflate(ESCAPE_INFLATION)
     dt = min(_SLOPE_DT, t_max)
     steps = max(1, round(dt / DEFAULT_STEP))
@@ -240,8 +241,3 @@ def check_liouville(
     witness = (region.center(), rel)
     return Verdict(Status.FAILS, Certainty.PROBABILISTIC, rel, (witness,), notes)
 
-
-def _divergence_expr(F: VectorField):
-    from .fields import divergence
-
-    return divergence(F)

@@ -1,14 +1,25 @@
 """Compiled numeric evaluation and shared numerical kernels.
 
-Expressions compile to numpy callables operating on points of shape
-(..., n), so the same compiled function serves single points and large
-Monte-Carlo batches.  Domain faults (division by zero, log of a negative)
-surface as non-finite entries rather than exceptions; callers mask them.
+Expressions compile once into a column kernel: it takes the coordinate
+columns z_1..z_n (arrays of one common shape, or floats) and returns one value
+per expression.  A batch of N points is n arrays of length N, so nothing is
+stacked or copied between calls, and a component that is constant comes back
+as a Python float that broadcasts.  `compile_components` wraps the column
+kernel for callers that hold points as one array of shape (..., n), so the
+same compiled code serves single points and large Monte-Carlo batches.
+Domain faults (division by zero, log of a negative) surface as non-finite
+entries rather than exceptions; callers mask them.
+
+Every RK4 integration goes through `rk4_march`, which steps the columns of a
+batch together.  A row that leaves the guard bounds or turns non-finite is
+masked at its own step; the arithmetic is elementwise, so a row's states are
+the same bits whether it is marched alone or in a batch.  The variational
+equation is marched as an augmented column system (`variational_kernel`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +30,7 @@ def _emit(e: Expression) -> str:
     if isinstance(e, Const):
         return repr(float(e.value))
     if isinstance(e, Var):
-        return f"Z[..., {e.index - 1}]"
+        return f"Z[{e.index - 1}]"
     if isinstance(e, Unary):
         u = _emit(e.arg)
         if e.op == "neg":
@@ -36,16 +47,12 @@ def _emit(e: Expression) -> str:
     return f"(({a}){sym}({b}))"
 
 
-def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k)."""
-    parts = ", ".join(f"_b + ({_emit(e)})" for e in exprs)
-    src = (
-        "def _f(Z):\n"
-        "    Z = _np.asarray(Z, dtype=float)\n"
-        "    _b = Z[..., 0] * 0.0\n"
-        "    with _np.errstate(all='ignore'):\n"
-        f"        return _np.stack([{parts}], axis=-1)\n"
-    )
+def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
+    """Compile expressions into a column kernel f(Z) -> (e_1, ..., e_k), where
+    Z[i] is the column of coordinate i + 1.  The kernel sets no error state:
+    callers run it under np.errstate."""
+    values = "".join(f"{_emit(e)}, " for e in exprs)
+    src = f"def _f(Z):\n    return ({values})\n"
     ns: dict = {"_np": np}
     exec(src, ns)
     fn = ns["_f"]
@@ -53,8 +60,26 @@ def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np
     return fn
 
 
+def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k).
+    The column kernel is kept as `f.columns`."""
+    kernel = compile_columns(exprs)
+
+    def run(Z):
+        Z = np.asarray(Z, dtype=float)
+        # the columns Z[..., i]; .T gives them fastest for a point or a row batch
+        cols = Z.T if Z.ndim <= 2 else np.moveaxis(Z, -1, 0)
+        base = cols[0] * 0.0
+        with np.errstate(all="ignore"):
+            return np.stack([base + v for v in kernel(cols)], axis=-1)
+
+    run.columns = kernel
+    return run
+
+
 def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a grid of expressions into f(Z) -> (..., rows, cols)."""
+    """Compile a grid of expressions into f(Z) -> (..., rows, cols).  The
+    column kernel of the row-major entries is kept as `f.columns`."""
     rows = len(entries)
     cols = len(entries[0])
     flat = [e for row in entries for e in row]
@@ -64,6 +89,7 @@ def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndar
         vals = fn(Z)
         return vals.reshape(vals.shape[:-1] + (rows, cols))
 
+    run.columns = fn.columns
     return run
 
 
@@ -77,35 +103,119 @@ def compile_scalar(e: Expression) -> Callable[[np.ndarray], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Runge-Kutta kernels (classic fixed-step RK4); batched over leading axes
+# Runge-Kutta: one classic fixed-step RK4 marcher over columns
 # ---------------------------------------------------------------------------
+
+# rows per block of a long march: a few dozen columns of this length stay in
+# a 2 MiB L2 cache, and on a 2-vCPU Xeon a 100k-row variational march runs
+# twice as fast in such blocks as in one piece
+BLOCK_ROWS = 4096
+
+
+def rk4_march(
+    f: Callable,
+    z: Sequence,
+    h,
+    steps: int,
+    lo: Optional[Sequence[float]] = None,
+    hi: Optional[Sequence[float]] = None,
+    on_step: Optional[Callable] = None,
+) -> tuple:
+    """March the columns z = (z_1, ..., z_m) of dz/dt = f(z) by `steps`
+    classic RK4 steps of size h, a float or an array giving each row its own
+    step (its sign sets the direction).
+
+    With guard bounds lo, hi (one pair per leading column), a row is masked
+    at the first step whose state leaves [lo, hi]; a non-finite state fails
+    every comparison, so it is masked too.  Masked rows keep being stepped,
+    which leaves the other rows alone, and the march stops once every row is
+    masked.  on_step(k, z, alive) runs after each step k = 1, 2, ...
+    Without it, a long batch of rows (one-dimensional columns) is marched in
+    blocks of BLOCK_ROWS rows, one block after another.
+
+    Returns (z, died): died holds, per row, the step at which the row was
+    masked, 0 for rows that never were; a masked row's state is unspecified.
+    Runs under np.errstate(all="ignore").
+    """
+    z = list(z)
+    rows = np.broadcast_shapes(np.shape(z[0]), np.shape(h))
+    if on_step is None and len(rows) == 1 and rows[0] > BLOCK_ROWS:
+        blocks = [
+            rk4_march(f, [c[i : i + BLOCK_ROWS] for c in z],
+                      h if np.ndim(h) == 0 else h[i : i + BLOCK_ROWS], steps, lo, hi)
+            for i in range(0, rows[0], BLOCK_ROWS)
+        ]
+        cols = [np.concatenate([b[0][j] for b in blocks]) for j in range(len(z))]
+        return cols, np.concatenate([b[1] for b in blocks])
+    half, sixth = 0.5 * h, h / 6.0
+    died = np.zeros(rows, dtype=int)
+    alive = died == 0
+    with np.errstate(all="ignore"):
+        for k in range(1, steps + 1):
+            k1 = f(z)
+            k2 = f([a + half * b for a, b in zip(z, k1)])
+            s = [a + 2.0 * b for a, b in zip(k1, k2)]
+            k3 = f([a + half * b for a, b in zip(z, k2)])
+            s = [a + 2.0 * b for a, b in zip(s, k3)]
+            k4 = f([a + h * b for a, b in zip(z, k3)])
+            z = [a + sixth * (b + c) for a, b, c in zip(z, s, k4)]
+            if lo is not None:
+                ok = alive.copy()
+                for col, low, high in zip(z, lo, hi):
+                    ok &= (col >= low) & (col <= high)
+                died[alive & ~ok] = k
+                alive = ok
+            if on_step is not None:
+                on_step(k, z, alive)
+            if not alive.any():
+                break
+    return z, died
+
+
+def rk4_path(f: Callable, z: Sequence, h, steps: int, lo=None, hi=None) -> tuple:
+    """rk4_march keeping every state: returns (path, died), where path[k]
+    holds the columns after step k as one array (path[0] is z), up to the
+    step at which the march stopped."""
+    path = [np.array(z, dtype=float)]
+    _, died = rk4_march(f, path[0], h, steps, lo, hi,
+                        on_step=lambda k, cols, alive: path.append(np.array(cols)))
+    return np.stack(path), died
+
+
+def variational_kernel(f: Callable, jac: Callable, n: int) -> Callable:
+    """Column kernel of the variational system z' = F(z), J' = J_F(z) J over
+    the columns (z_1, ..., z_n, J_11, J_12, ..., J_nn), J row-major, from the
+    column kernels of F and of its row-major Jacobian.  J_F J is written out
+    as n x n column products summed left to right over the inner index;
+    constant Jacobian entries stay Python floats."""
+
+    def g(y):
+        z, J = y[:n], y[n:]
+        A = jac(z)
+        out = list(f(z))
+        for i in range(n):
+            row = A[i * n : (i + 1) * n]
+            for j in range(n):
+                acc = row[0] * J[j]
+                for k in range(1, n):
+                    acc = acc + row[k] * J[k * n + j]
+                out.append(acc)
+        return out
+
+    return g
 
 
 def rk4_step(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(z)
-    k2 = f(z + 0.5 * h * k1)
-    k3 = f(z + 0.5 * h * k2)
-    k4 = f(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step of points z, shape (..., n); f from compile_components."""
+    return rk4_final(f, z, h, 1)
 
 
 def rk4_final(f: Callable, z0: np.ndarray, t_total: float, steps: int) -> np.ndarray:
+    """State after `steps` RK4 steps covering t_total, points of shape
+    (..., n); f from compile_components."""
     z = np.asarray(z0, dtype=float)
-    h = t_total / steps
-    for _ in range(steps):
-        z = rk4_step(f, z, h)
-    return z
-
-
-def rk4_states(f: Callable, z0: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """All intermediate states, shape (steps+1, ...) with z0 first."""
-    z = np.asarray(z0, dtype=float)
-    out = np.empty((steps + 1,) + z.shape)
-    out[0] = z
-    for k in range(steps):
-        z = rk4_step(f, z, h)
-        out[k + 1] = z
-    return out
+    zT, _ = rk4_march(f.columns, np.moveaxis(z, -1, 0), t_total / steps, steps)
+    return np.stack(zT, axis=-1)
 
 
 def rk4_variational(
@@ -119,27 +229,17 @@ def rk4_variational(
 
     Returns (z(T), J(T)) where J is the Jacobian of the time-T flow map with
     respect to the initial state.  Batched: z0 of shape (N, n) gives J of
-    shape (N, n, n).
+    shape (N, n, n).  f and jac come from compile_components and
+    compile_matrix.
     """
     z = np.asarray(z0, dtype=float)
     n = z.shape[-1]
-    J = np.broadcast_to(np.eye(n), z.shape[:-1] + (n, n)).copy()
-    h = t_total / steps
-    for _ in range(steps):
-        k1z = f(z)
-        k1J = jac(z) @ J
-        z2 = z + 0.5 * h * k1z
-        k2z = f(z2)
-        k2J = jac(z2) @ (J + 0.5 * h * k1J)
-        z3 = z + 0.5 * h * k2z
-        k3z = f(z3)
-        k3J = jac(z3) @ (J + 0.5 * h * k2J)
-        z4 = z + h * k3z
-        k4z = f(z4)
-        k4J = jac(z4) @ (J + h * k3J)
-        z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        J = J + (h / 6.0) * (k1J + 2.0 * k2J + 2.0 * k3J + k4J)
-    return z, J
+    eye = [np.full(z.shape[:-1], float(i == j)) for i in range(n) for j in range(n)]
+    g = variational_kernel(f.columns, jac.columns, n)
+    y, _ = rk4_march(g, [*np.moveaxis(z, -1, 0), *eye], t_total / steps, steps)
+    zT = np.stack(y[:n], axis=-1)
+    JT = np.stack(y[n:], axis=-1).reshape(z.shape[:-1] + (n, n))
+    return zT, JT
 
 
 # ---------------------------------------------------------------------------

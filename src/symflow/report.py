@@ -12,11 +12,11 @@ import os
 import tempfile
 from typing import Optional
 
+from . import __version__
 from .candidates import CandidatePointMap, Classification, ClassificationBranch
 from .fields import SmoothMap
 
 SCHEMA_VERSION = "1"
-TOOL_VERSION = "0.1.0"
 
 
 def float_str(x) -> str:
@@ -88,7 +88,7 @@ def build_report(
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": "symflow",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "seed": str(seed),
         "spec": spec_echo,

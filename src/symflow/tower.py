@@ -11,14 +11,15 @@ symmetries and reversibilities drives the structure checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Expression
 from .fields import VectorField, divergence, lie_derivative
-from .numeric import compile_components, rk4_final
+from .numeric import compile_columns, rk4_path
 
 NODE_BUDGET = 100_000
 ORACLE_STEP = 1e-3
@@ -48,10 +49,13 @@ class DivergenceTower:
         return self.orders[j]
 
 
-def build_tower(F: VectorField, max_order: int, node_budget: int = NODE_BUDGET) -> DivergenceTower:
-    """Tower [D^(0), ..., D^(max_order)] with D^(j+1) = lie_derivative(D^(j), F)."""
+def build_tower(F: VectorField, max_order: int, node_budget: Optional[int] = None) -> DivergenceTower:
+    """Tower [D^(0), ..., D^(max_order)] with D^(j+1) = lie_derivative(D^(j), F).
+    The node budget defaults to NODE_BUDGET, read at call time."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    if node_budget is None:
+        node_budget = NODE_BUDGET
     orders = [divergence(F)]
     for _ in range(max_order):
         nxt = lie_derivative(orders[-1], F)
@@ -155,6 +159,13 @@ _STENCILS = {
 }
 
 
+@lru_cache(maxsize=32)
+def _oracle_kernels(F: VectorField):
+    """Column kernels of div F and of F, and the escape guard, per field."""
+    guard = F.domain.inflate(ESCAPE_INFLATION)
+    return compile_columns([divergence(F)]), compile_columns(F.components), guard.lows, guard.highs
+
+
 def tower_fd_oracle(F: VectorField, z: Sequence[float], order: int, h: float = ORACLE_STEP) -> float:
     """Finite-difference estimate of the order-j tower value at z.
 
@@ -167,26 +178,25 @@ def tower_fd_oracle(F: VectorField, z: Sequence[float], order: int, h: float = O
         raise ValueError("step must be positive")
     if h**max(order, 1) == 0.0:
         raise ValueError("stencil underflow: step too small")
-    div_fn = compile_components([divergence(F)])
-    f = compile_components(F.components)
-    guard = F.domain.inflate(ESCAPE_INFLATION)
+    div_fn, f, lo, hi = _oracle_kernels(F)
     reach = max(abs(k) for k in _STENCILS[order])
 
-    samples = {0: np.asarray(z, dtype=float)}
-    for direction in (+1, -1):
-        state = np.asarray(z, dtype=float)
-        for k in range(1, reach + 1):
-            state = rk4_final(f, state, direction * h, 1)
-            if not np.all(np.isfinite(state)) or not guard.contains(state):
-                raise TrajectoryEscape(
-                    f"flow left the domain after {k} steps of {direction * h}"
-                )
-            samples[direction * k] = state
+    # path[k, :, 0] is the state at offset +k, path[k, :, 1] at offset -k
+    z = np.asarray(z, dtype=float)
+    path, died = rk4_path(f, np.stack([z, z], axis=-1), np.array([h, -h]), reach, lo, hi)
+    for row, direction in enumerate((+1, -1)):
+        if died[row]:
+            raise TrajectoryEscape(
+                f"flow left the domain after {died[row]} steps of {direction * h}"
+            )
+    samples = {direction * k: path[k, :, row]
+               for k in range(reach + 1) for row, direction in enumerate((+1, -1))}
 
     acc = 0.0
-    for offset, coeff in _STENCILS[order].items():
-        value = float(div_fn(samples[offset])[0])
-        if not np.isfinite(value):
-            raise TrajectoryEscape("divergence not finite along the stencil")
-        acc += coeff * value
+    with np.errstate(all="ignore"):
+        for offset, coeff in _STENCILS[order].items():
+            value = float(div_fn(samples[offset])[0])
+            if not np.isfinite(value):
+                raise TrajectoryEscape("divergence not finite along the stencil")
+            acc += coeff * value
     return acc / h**order if order > 0 else acc

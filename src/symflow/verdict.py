@@ -32,11 +32,6 @@ class CheckKind(str, enum.Enum):
     SYMMETRY = "symmetry"
     REVERSIBILITY = "reversibility"
 
-    @property
-    def structural_sign(self) -> int:
-        # residual F(sigma(z)) - sign * J_sigma(z) F(z)
-        return 1 if self is CheckKind.SYMMETRY else -1
-
     def tower_sign(self, order: int) -> int:
         if self is CheckKind.SYMMETRY:
             return 1

@@ -220,3 +220,24 @@ class TestCandidatesCommand:
 
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
+
+
+class TestCleanExit:
+    DIVISION = "dim=2\nF1=y\nF2=-x/(x-x)\nS1=-x\nS2=y\n"
+
+    def test_division_by_zero_expression_is_usage_error(self, tmp_path, capsys):
+        spec = write(tmp_path, "div.spec", self.DIVISION)
+        assert main(["check", spec, "--kind", "reversibility"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("symflow: ") and err.count("\n") == 1
+
+    def test_tower_over_budget_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        import symflow.tower
+
+        monkeypatch.setattr(symflow.tower, "NODE_BUDGET", 3)
+        spec = write(tmp_path, "g.spec", GENERIC)
+        assert main(["check", spec, "--kind", "reversibility"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("symflow: ") and "budget" in err
