@@ -385,6 +385,11 @@ def lienard_field(f: Expression, g: Expression, box: Optional[DomainBox] = None)
     return VectorField([ex.Var(2), F2], box)
 
 
+class VerificationError(RuntimeError):
+    """A map that a classifier emitted failed its own re-verification: an
+    internal error, not a verdict on the input."""
+
+
 def _verify_emitted(F: VectorField, sigma: SmoothMap, kind: CheckKind, rng=None) -> dict:
     checks = {
         "structural": check_structural(F, sigma, kind, rng=rng),
@@ -393,7 +398,7 @@ def _verify_emitted(F: VectorField, sigma: SmoothMap, kind: CheckKind, rng=None)
     }
     if not all(v.holds for v in checks.values()):
         bad = ", ".join(k for k, v in checks.items() if not v.holds)
-        raise RuntimeError(f"internal error: emitted map failed verification ({bad})")
+        raise VerificationError(f"internal error: emitted map failed verification ({bad})")
     return checks
 
 

@@ -24,7 +24,8 @@ Subcommands:
 Exit codes: 0 all checks hold / a map exists, 1 a check fails / none exists,
 2 usage, parse or expression errors (such as a division by an expression
 that simplifies to zero), 3 inconclusive results / violated hypotheses /
-a tower entry over the node budget.
+a tower entry over the node budget / a classifier's map that fails its own
+re-verification (an internal error).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .candidates import (
     EXISTS,
     HYPOTHESES_VIOLATED,
     NOT_EXISTS,
+    VerificationError,
     candidate_map_table,
     candidate_table_to_csv,
     classify_lienard,
@@ -96,7 +98,7 @@ def _parse_box(text: str, dimension: int) -> DomainBox:
         raise SpecError(f"box needs {2 * dimension} numbers, got {len(parts)}")
     try:
         values = [float(Fraction(p)) for p in parts]
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise SpecError(f"bad box entry: {exc}") from exc
     return DomainBox(list(zip(values[0::2], values[1::2])))
 
@@ -130,7 +132,7 @@ def load_system_spec(path: str) -> SystemSpec:
             params = {k: Fraction(kv[k]) for k in ("a", "b", "c", "d")}
         except KeyError as exc:
             raise SpecError(f"lotka_volterra family needs parameter {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad rational parameter: {exc}") from exc
     elif family == "lienard":
         dimension = 2
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
     except (SpecError, ParseError, ExprError, ValueError, OSError) as exc:
         print(f"symflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TowerBudgetError as exc:
+    except (TowerBudgetError, VerificationError) as exc:
         print(f"symflow: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -580,15 +580,24 @@ def compose(e: Expression, maps: Sequence[Expression]) -> Expression:
 # ---------------------------------------------------------------------------
 
 
-def _eval(e: Expression, coords: Sequence[float], scale: list) -> float:
+def const_float(c: Fraction) -> float:
+    """The nearest double to c; a rational beyond the doubles is +-inf,
+    which evaluation treats as a domain fault."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def _eval(e: Expression, coords: Sequence[float]) -> float:
     if isinstance(e, Const):
-        v = float(e.value)
+        v = const_float(e.value)
     elif isinstance(e, Var):
         if e.index > len(coords):
             raise EvaluationError(f"point has {len(coords)} coordinates", e)
         v = float(coords[e.index - 1])
     elif isinstance(e, Unary):
-        u = _eval(e.arg, coords, scale)
+        u = _eval(e.arg, coords)
         if e.op == "neg":
             v = -u
         elif e.op == "sin":
@@ -609,7 +618,7 @@ def _eval(e: Expression, coords: Sequence[float], scale: list) -> float:
                 raise EvaluationError("sqrt of a negative value", e)
             v = math.sqrt(u)
     else:
-        a = _eval(e.left, coords, scale)
+        a = _eval(e.left, coords)
         if e.op == "pow":
             q = e.right.value
             try:
@@ -626,7 +635,7 @@ def _eval(e: Expression, coords: Sequence[float], scale: list) -> float:
             except OverflowError:
                 raise EvaluationError("pow overflow", e) from None
         else:
-            b = _eval(e.right, coords, scale)
+            b = _eval(e.right, coords)
             if e.op == "add":
                 v = a + b
             elif e.op == "sub":
@@ -639,22 +648,12 @@ def _eval(e: Expression, coords: Sequence[float], scale: list) -> float:
                 v = a / b
     if not math.isfinite(v):
         raise EvaluationError("non-finite intermediate value", e)
-    av = abs(v)
-    if av > scale[0]:
-        scale[0] = av
     return v
 
 
 def evaluate(e: Expression, point: Sequence[float]) -> float:
     """IEEE double evaluation at a point; raises EvaluationError on domain faults."""
-    return _eval(e, tuple(point), [0.0])
-
-
-def evaluate_scaled(e: Expression, point: Sequence[float]) -> tuple:
-    """(value, max absolute subterm magnitude) - the scale feeds relative tolerances."""
-    scale = [0.0]
-    v = _eval(e, tuple(point), scale)
-    return v, scale[0]
+    return _eval(e, tuple(point))
 
 
 def evaluate_exact(e: Expression, point: Sequence) -> Fraction:
@@ -702,9 +701,22 @@ def evaluate_exact(e: Expression, point: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _top_witnesses(records: list) -> tuple:
-    records.sort(key=lambda w: -w[1])
-    return tuple(records[:WITNESS_CAP])
+def _sample(e: Expression, box: DomainBox, trials: int, rng) -> tuple:
+    """Draw `trials` points of the box once and evaluate e at all of them
+    with one compiled kernel: (points, |value|, scale, ok) per row."""
+    from .numeric import compile_scaled  # numeric imports this module
+
+    pts = box.sample(rng, trials)
+    value, scale, ok = compile_scaled(e)(pts.T)
+    return pts, np.abs(value), scale, ok
+
+
+def _top_witnesses(pts: np.ndarray, residuals: np.ndarray, rows: np.ndarray) -> tuple:
+    """The WITNESS_CAP selected rows with the largest residuals; ties keep
+    sample order."""
+    idx = np.flatnonzero(rows)
+    top = idx[np.argsort(-residuals[idx], kind="stable")][:WITNESS_CAP]
+    return tuple((tuple(float(c) for c in pts[i]), float(residuals[i])) for i in top)
 
 
 def sampled_zero_verdict(
@@ -720,50 +732,39 @@ def sampled_zero_verdict(
     magnitude, so the test is scale-free across coefficient sizes; pass `tol`
     for an absolute threshold.  Evaluation errors are skipped and counted; if
     every sample errors the verdict is inconclusive.
+
+    One compiled numpy kernel (`numeric.compile_scaled`) evaluates e at
+    every sample at once.  It computes each distinct subterm once, as a
+    common-subexpression temporary, and takes the scale, the largest
+    |subterm| per point, inside the kernel.  A point whose subterms are not
+    all finite (a zero divisor, log <= 0, sqrt < 0, an overflow, ...) is an
+    evaluation error, exactly where the tree walk `evaluate` raises
+    EvaluationError.  Values agree with the tree walk's to a few ulps:
+    numpy's exp, log and integer powers are not always libm's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    pts = box.sample(rng, trials)
-    records = []
-    worst = 0.0
-    scale = 0.0
-    errors = 0
-    for row in pts:
-        p = tuple(float(c) for c in row)
-        try:
-            v, s = evaluate_scaled(e, p)
-        except EvaluationError:
-            errors += 1
-            continue
-        records.append((p, abs(v)))
-        worst = max(worst, abs(v))
-        scale = max(scale, s)
-    if not records:
+    pts, residuals, scale, ok = _sample(e, box, trials, rng)
+    good = int(ok.sum())
+    if not good:
         return Verdict.inconclusive(f"all {trials} sample evaluations failed")
-    tol_eff = tol if tol is not None else ZERO_TOL_REL * (1.0 + scale)
-    notes = f"sampled {len(records)}/{trials} points, tol {tol_eff:.3g}"
-    if errors:
-        notes += f", {errors} evaluation errors skipped"
+    worst = float(residuals[ok].max())
+    tol_eff = tol if tol is not None else ZERO_TOL_REL * (1.0 + float(scale[ok].max()))
+    notes = f"sampled {good}/{trials} points, tol {tol_eff:.3g}"
+    if good < trials:
+        notes += f", {trials - good} evaluation errors skipped"
     if worst < tol_eff:
         return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, worst, (), notes)
-    bad = [w for w in records if w[1] >= tol_eff]
-    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, worst, _top_witnesses(bad), notes)
+    bad = ok & (residuals >= tol_eff)
+    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, worst, _top_witnesses(pts, residuals, bad), notes)
 
 
 def _certain_nonzero_witnesses(canonical: Expression, box: DomainBox, trials: int, rng) -> tuple:
-    pts = box.sample(rng, trials)
-    records = []
-    for row in pts:
-        p = tuple(float(c) for c in row)
-        try:
-            v = evaluate(canonical, p)
-        except EvaluationError:
-            continue
-        records.append((p, abs(v)))
-    nonzero = [w for w in records if w[1] > 0.0]
-    if nonzero:
-        return _top_witnesses(nonzero)
+    pts, residuals, _, ok = _sample(canonical, box, trials, rng)
+    nonzero = ok & (residuals > 0.0)
+    if nonzero.any():
+        return _top_witnesses(pts, residuals, nonzero)
     # a nonzero polynomial vanishes only on a null set; fall back to a
     # deterministic rational probe so the fails verdict always carries a witness
     n = max(max_var_index(canonical), 1)
@@ -771,8 +772,8 @@ def _certain_nonzero_witnesses(canonical: Expression, box: DomainBox, trials: in
         p = tuple(Fraction(2 * k + i, 2 * k + i + 1) for i in range(n))
         v = evaluate_exact(canonical, p)
         if v != 0:
-            return ((tuple(float(c) for c in p), abs(float(v))),)
-    return _top_witnesses(records) if records else ((tuple(0.0 for _ in range(n)), 0.0),)
+            return ((tuple(float(c) for c in p), abs(const_float(v))),)
+    return _top_witnesses(pts, residuals, ok) if ok.any() else ((tuple(0.0 for _ in range(n)), 0.0),)
 
 
 def identically_zero(

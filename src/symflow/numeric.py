@@ -10,6 +10,16 @@ same compiled code serves single points and large Monte-Carlo batches.
 Domain faults (division by zero, log of a negative) surface as non-finite
 entries rather than exceptions; callers mask them.
 
+One emitter (`_Emitter`) writes every kernel as straight-line code with one
+common-subexpression temporary per distinct subterm, and folds subterms
+without variables into constants.  `compile_columns` returns the requested
+values (the RK4 and Newton kernels) and deletes each temporary after its
+last use, so a large batch holds only the live ones.  `compile_scaled`,
+behind every sampled zero test, also returns per row the largest
+|subterm|, which sets the relative tolerance, and a mask of the rows where
+every subterm is finite, which are the rows the tree walk `expr.evaluate`
+can evaluate.
+
 Every RK4 integration goes through `rk4_march`, which steps the columns of a
 batch together.  A row that leaves the guard bounds or turns non-finite is
 masked at its own step; the arithmetic is elementwise, so a row's states are
@@ -19,45 +29,202 @@ equation is marched as an augmented column system (`variational_kernel`).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expression, Unary, Var
+from .expr import Const, Expression, Unary, Var, const_float
+
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
 
-def _emit(e: Expression) -> str:
-    if isinstance(e, Const):
-        return repr(float(e.value))
-    if isinstance(e, Var):
-        return f"Z[{e.index - 1}]"
-    if isinstance(e, Unary):
-        u = _emit(e.arg)
-        if e.op == "neg":
-            return f"(-{u})"
-        return f"_np.{e.op}({u})"
-    a = _emit(e.left)
-    if e.op == "pow":
-        q = e.right.value
-        if q.denominator == 1:
-            return f"({a})**({int(q)})"
-        return f"_np.float_power({a}, {float(q)!r})"
-    b = _emit(e.right)
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-    return f"(({a}){sym}({b}))"
+def _literal(v: float) -> str:
+    if math.isfinite(v):
+        return repr(v)
+    if math.isnan(v):
+        return "_np.nan"
+    return "_np.inf" if v > 0 else "(-_np.inf)"
+
+
+def _fold(op: str, q, a: float, b: float = 0.0) -> float:
+    """A subterm without variables, computed with float64 scalars: the same
+    bits the kernel would give it, and a zero divisor gives inf, not an
+    exception."""
+    a, b = np.float64(a), np.float64(b)
+    with np.errstate(all="ignore"):
+        if op == "neg":
+            v = -a
+        elif op == "pow":
+            v = a ** int(q) if q.denominator == 1 else np.float_power(a, float(q))
+        elif op in _UFUNCS:
+            v = _UFUNCS[op](a, b)
+        else:
+            v = getattr(np, op)(a)
+    return float(v)
+
+
+class _Emitter:
+    """Straight-line numpy code for expressions, one temporary per distinct
+    subterm that depends on a variable.
+
+    Subterms are hash-consed on (operator, operand texts), and a node already
+    emitted is found again by its id, so n nodes cost O(n): frozen nodes hash
+    recursively, and a dict keyed on the nodes themselves would cost
+    O(n * depth).  Subterms without variables are folded into constants
+    (`_fold`).  The traversal keeps its own stack and the code is flat, so a
+    deep tree meets neither the recursion limit nor the parser's nesting
+    limit.  `consts` holds the value of every constant subterm, leaves
+    included; a pow exponent is no subterm.
+    """
+
+    def __init__(self):
+        self.lines: list = []  # "    t3 = t1*t2"
+        self.temps: list = []  # the temporaries, in order
+        self._reads: list = []  # per line, the temporaries it reads
+        self.consts: list = []
+        self.nvars = 0
+        self._seen: dict = {}  # id(node) -> temporary name, or float if constant
+        self._keys: dict = {}  # (op, operand texts) -> temporary name
+
+    @staticmethod
+    def text(x) -> str:
+        return x if x.__class__ is str else _literal(x)
+
+    def emit(self, root: Expression):
+        """Emit root and its subterms, operands before the nodes that use
+        them; returns root's temporary name, or its value if constant."""
+        seen = self._seen
+        stack = [(root, False)]
+        while stack:
+            e, ready = stack.pop()
+            if id(e) in seen:
+                continue
+            cls = e.__class__
+            if ready or cls is Const or cls is Var:
+                seen[id(e)] = self._node(e, cls)
+                continue
+            stack.append((e, True))
+            if cls is Unary:
+                stack.append((e.arg, False))
+            else:
+                if e.op != "pow":
+                    stack.append((e.right, False))
+                stack.append((e.left, False))
+        return seen[id(root)]
+
+    def _node(self, e: Expression, cls):
+        if cls is Const:
+            return self._const(const_float(e.value))
+        if cls is Var:
+            self.nvars = max(self.nvars, e.index)
+            return self._temp(e.index, f"Z[{e.index - 1}]")
+        op = e.op
+        if cls is Unary:
+            a = self._seen[id(e.arg)]
+            if a.__class__ is float:
+                return self._const(_fold(op, None, a))
+            if op == "neg":
+                return self._temp((op, a), f"-{a}", a)
+            return self._temp((op, a), f"_np.{op}({a})", a)
+        a = self._seen[id(e.left)]
+        if op == "pow":
+            q = e.right.value
+            if a.__class__ is float:
+                return self._const(_fold(op, q, a))
+            if q.denominator == 1:
+                return self._temp((op, q, a), f"{a}**{int(q)}", a)
+            return self._temp((op, q, a), f"_np.float_power({a}, {float(q)!r})", a)
+        b = self._seen[id(e.right)]
+        if a.__class__ is float and b.__class__ is float:
+            return self._const(_fold(op, None, a, b))
+        ta, tb = self.text(a), self.text(b)
+        return self._temp((op, ta, tb), f"{ta}{_SYMBOLS[op]}{tb}", a, b)
+
+    def _const(self, v: float) -> float:
+        self.consts.append(v)
+        return v
+
+    def _temp(self, key, code: str, *operands) -> str:
+        name = self._keys.get(key)
+        if name is None:
+            name = self._keys[key] = f"t{len(self.temps)}"
+            self.temps.append(name)
+            self.lines.append(f"    {name} = {code}\n")
+            self._reads.append([x for x in operands if x.__class__ is str])
+        return name
+
+    def function(self, returns: str, keep: set):
+        """Compile the lines into _f(Z) returning `returns`.  Every
+        temporary not in `keep`, the set of those returned, is deleted after
+        its last use, so that a batch holds only the live ones, as a nested
+        expression would."""
+        last = {}
+        for i, reads in enumerate(self._reads):
+            for t in reads:
+                last[t] = i
+        dead: dict = {}
+        for t, i in last.items():
+            if t not in keep:
+                dead.setdefault(i, []).append(t)
+        body = "".join(line + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
+                       for i, line in enumerate(self.lines))
+        src = f"def _f(Z):\n{body}    return {returns}\n"
+        ns: dict = {"_np": np}
+        exec(src, ns)
+        fn = ns["_f"]
+        fn.source = src
+        return fn
 
 
 def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
     """Compile expressions into a column kernel f(Z) -> (e_1, ..., e_k), where
     Z[i] is the column of coordinate i + 1.  The kernel sets no error state:
     callers run it under np.errstate."""
-    values = "".join(f"{_emit(e)}, " for e in exprs)
-    src = f"def _f(Z):\n    return ({values})\n"
-    ns: dict = {"_np": np}
-    exec(src, ns)
-    fn = ns["_f"]
-    fn.source = src
-    return fn
+    em = _Emitter()
+    outs = [em.text(em.emit(e)) for e in exprs]
+    return em.function(f"({''.join(o + ', ' for o in outs)})", keep=set(outs))
+
+
+# rows per block of a scaled evaluation: a block holds every temporary of the
+# expression twice (the arrays and their stack), 4 KiB per temporary at 256
+# rows, so 8 MiB for a tree of 2000 distinct subterms
+SCALED_BLOCK_ROWS = 256
+
+
+def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
+    """Compile e into f(Z) -> (value, scale, ok) over columns Z of shape
+    (n, N): per row, the value of e, the largest |subterm| (variables and
+    constants included, a pow exponent not) and whether every subterm is
+    finite.  A row is ok exactly when the tree walk `expr.evaluate` raises
+    no EvaluationError there; a variable beyond the n columns fails every
+    row.  Runs under its own np.errstate."""
+    em = _Emitter()
+    value = em.text(em.emit(e))
+    kernel = em.function(f"{value}, ({''.join(t + ', ' for t in em.temps)})", keep=set(em.temps))
+    consts = np.abs(np.array(em.consts, dtype=float))
+    const_ok = bool(np.isfinite(consts).all())
+    const_scale = float(consts.max(initial=0.0)) if const_ok else 0.0
+
+    def run(Z):
+        Z = np.asarray(Z, dtype=float)
+        rows = Z.shape[1]
+        if em.nvars > Z.shape[0] or not const_ok:
+            return np.full(rows, np.nan), np.zeros(rows), np.zeros(rows, dtype=bool)
+        if not em.temps:
+            return np.full(rows, float(kernel(Z)[0])), np.full(rows, const_scale), np.ones(rows, dtype=bool)
+        values, scales = [], []
+        with np.errstate(all="ignore"):
+            for i in range(0, rows, SCALED_BLOCK_ROWS):
+                v, temps = kernel(Z[:, i : i + SCALED_BLOCK_ROWS])
+                values.append(v)
+                scales.append(np.abs(np.array(temps)).max(axis=0))
+        scale = np.maximum(np.concatenate(scales), const_scale)
+        # max propagates NaN, so one non-finite subterm makes the scale so
+        return np.concatenate(values), scale, np.isfinite(scale)
+
+    return run
 
 
 def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np.ndarray]:

@@ -1,9 +1,14 @@
 """Command-line front end: spec files, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symflow.cli import SpecError, load_system_spec, main
 
@@ -241,3 +246,118 @@ class TestCleanExit:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("symflow: ") and "budget" in err
+
+    def test_emitted_map_failing_verification_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        import symflow.candidates
+        from symflow.verdict import Verdict
+
+        monkeypatch.setattr(symflow.candidates, "check_structural",
+                            lambda *a, **k: Verdict.inconclusive("patched"))
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        assert main(["classify", spec]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith("symflow: internal error: emitted map failed verification (structural)")
+
+    @pytest.mark.parametrize("text, code", [
+        (LV_GOOD.replace("a=1", "a=1/0"), 2),
+        (GENERIC.replace("box=-2,2,-2,2", "box=-2,1e999,-2,2"), 2),
+        ("family=lienard\nf=10^400\ng=2\nS1=x\nS2=x\nbox=0,2,0,2\n", None),
+    ], ids=["rational-1/0", "box-overflow", "constant-overflow"])
+    def test_fuzz_findings_exit_cleanly(self, tmp_path, capsys, text, code):
+        # inputs the spec-file fuzz test once crashed on
+        spec = write(tmp_path, "f.spec", text)
+        result = main(["check", spec, "--kind", "symmetry", "--orders", "1", "--trials", "20"])
+        assert result == code if code is not None else result in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# --- spec-file fuzzing: every input ends in an exit code, never a traceback --
+
+# mostly valid pieces and a few bad ones, so that many files reach the checks
+_ATOMS = ["x", "y", "z", "0", "1", "2", "3", "0.5", "10"] * 6 + ["z4", "a", "", "1.5.2", "10^400"]
+_EXPONENTS = ["2", "3", "0", "5", "(1/2)", "(-1)", "(-2)", "(2/3)", "-1"] * 3 + ["x", "(1/0)"]
+_SMALL = st.integers(-5, 5).map(str)
+_NUMBERS = st.one_of(
+    _SMALL,
+    st.sampled_from(["1/2", "-3/2", "0", "1/0", "1e999", "2.5", "-0", "abc", "", "1e-300", "10^400"]),
+)
+
+
+def _expr_texts(n):
+    atoms = [a for a in _ATOMS if a not in "xyz"[n:] or not a]  # x, y, z up to dimension n
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", "/"]), inner),
+            st.builds("({})^{}".format, inner, st.sampled_from(_EXPONENTS)),
+            st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp", "log", "sqrt", ""] * 3 + ["tan"]), inner),
+            inner.map("-{}".format),
+        ),
+        max_leaves=6,
+    )
+
+
+def _box_texts(n):
+    good = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda los: ",".join(f"{lo},{lo + 2}" for lo in los))
+    return st.one_of(good, good, good, good, st.lists(_NUMBERS, max_size=2 * n + 1).map(",".join))
+
+
+@st.composite
+def spec_files(draw):
+    """A system of a random family, with some lines broken, repeated,
+    dropped or added."""
+    family = draw(st.sampled_from(["generic", "lotka_volterra", "lienard"] * 3 + ["other"]))
+    n = draw(st.integers(1, 3)) if family == "generic" else 2
+    lines = [f"family={family}"] if family != "generic" or draw(st.booleans()) else []
+    if family == "generic" or draw(st.booleans()):
+        lines.append(f"dim={draw(st.sampled_from([str(n)] * 12 + ['0', 'x', '', '4']))}")
+    if family == "lotka_volterra":
+        lines += [f"{k}={draw(st.one_of(_SMALL, _SMALL, _SMALL, _NUMBERS))}" for k in "abcd"]
+    elif family == "lienard":
+        lines += [f"{k}={draw(_expr_texts(1))}" for k in "fg"]
+    if family == "generic" or draw(st.booleans()):
+        lines += [f"F{i}={draw(_expr_texts(n))}" for i in range(1, n + 1)]
+    if draw(st.integers(0, 4)) < 4:
+        lines += [f"S{i}={draw(_expr_texts(n))}" for i in range(1, n + 1)]
+    if draw(st.integers(0, 2)) < 2:
+        lines.append(f"box={draw(_box_texts(n))}")
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["drop", "repeat", "junk", "text"]))
+        if edit == "drop" and i < len(lines):
+            del lines[i]
+        elif edit == "repeat" and i < len(lines):
+            lines.insert(i, lines[i])
+        elif edit == "junk" and i < len(lines):
+            lines[i] = lines[i].split("=")[0] + "=" + draw(_NUMBERS)
+        elif edit == "text":
+            lines.insert(i, draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+_COMMANDS = st.sampled_from([
+    ["check", "--kind", "symmetry", "--orders", "2", "--trials", "20"],
+    ["check", "--kind", "reversibility", "--orders", "1", "--trials", "20",
+     "--flow", "--samples", "3", "--horizon", "0.05", "--step", "0.01"],
+    ["classify"],
+    ["candidates", "--kind", "reversibility", "--grid", "3x3", "--multistart", "2"],
+    ["candidates", "--kind", "symmetry", "--grid", "2", "--multistart", "1", "--selection", "0,1"],
+])
+
+
+@given(spec_files(), _COMMANDS)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_spec_file_fuzz_exits_cleanly(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "fuzz.spec")
+        with open(spec, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        argv = [command[0], spec, *command[1:], "--out", os.path.join(tmp, "report.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,0 +1,227 @@
+"""The compiled scaled kernel against the tree walk `evaluate`.
+
+`numeric.compile_scaled` replaces a per-point tree walk in every sampled
+zero test, so it must fail exactly the rows where the walk raises
+EvaluationError, and agree with it on the value and on the scale (the
+largest |subterm|) to a few ulps: numpy's exp, log and integer powers are
+not always libm's.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from symflow.expr import (
+    Binary,
+    Const,
+    EvaluationError,
+    Unary,
+    Var,
+    add,
+    div,
+    evaluate,
+    identically_zero,
+    mul,
+    pow_,
+    sampled_zero_verdict,
+    sub,
+)
+from symflow.geometry import DomainBox
+from symflow.numeric import compile_columns, compile_scaled
+from symflow.verdict import Status
+
+# the kernel's value and scale may differ from the tree walk's by this many
+# ulps of the scale; exp, log and powers nested a few deep stay near 10
+ULPS = 32
+
+_consts = st.fractions(min_value=-4, max_value=4, max_denominator=4).map(Const)
+_vars = st.integers(min_value=1, max_value=2).map(Var)
+_exponents = st.sampled_from(
+    [-2, -1, 0, 1, 2, 3, 5, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2)]
+)
+
+
+def trees(max_leaves=12):
+    """Trees over + - * /, integer and fractional powers and every unary
+    function, in two variables."""
+    return st.recursive(
+        st.one_of(_consts, _vars),
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+            st.builds(lambda b, q: Binary("pow", b, Const(q)), children, _exponents),
+            st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "exp", "log", "sqrt"]), children),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+# random points, and points on the axes where quotients, logs and negative
+# powers fail
+POINTS = np.vstack([
+    np.random.default_rng(0).uniform(-3, 3, (40, 2)),
+    [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 2.0], [1.0, 1.0], [-1.0, -1.0]],
+])
+
+
+def subterms(e):
+    """Every node the tree walk visits: not the exponent of a pow."""
+    yield e
+    if isinstance(e, Unary):
+        yield from subterms(e.arg)
+    elif isinstance(e, Binary):
+        yield from subterms(e.left)
+        if e.op != "pow":
+            yield from subterms(e.right)
+
+
+def walk(e, p):
+    """(value, scale) by the tree walk, or None where it raises."""
+    try:
+        return evaluate(e, p), max(abs(evaluate(t, p)) for t in subterms(e))
+    except EvaluationError:
+        return None
+
+
+def assert_matches_walk(e, points):
+    value, scale, ok = compile_scaled(e)(points.T)
+    for i, p in enumerate(points):
+        ref = walk(e, tuple(p))
+        assert ok[i] == (ref is not None), (str(e), p)
+        if ref is not None:
+            tol = ULPS * math.ulp(ref[1])
+            assert abs(value[i] - ref[0]) <= tol, (str(e), p)
+            assert abs(scale[i] - ref[1]) <= tol, (str(e), p)
+
+
+@given(trees())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_kernel_matches_tree_walk(e):
+    assert_matches_walk(e, POINTS)
+
+
+X, Y = Var(1), Var(2)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        add(div(Const(3), Const(4)), Const(1)),  # constant: the scale is 4
+        div(Const(1), sub(Const(2), Const(2))),  # 1/(2-2): every row fails
+        pow_(Const(0), -1),  # 0^-1: every row fails
+        add(X, pow_(Const(0), -1)),
+        pow_(X, -1),  # fails where x = 0 or -0
+        Unary("exp", mul(Const(1000), X)),  # overflows for x > 0.71
+        Unary("log", X),  # fails at 0, -0 and below
+        Unary("sqrt", Y),
+        pow_(Y, Fraction(-1, 2)),
+        add(add(pow_(X, 2), pow_(X, 3)), add(pow_(Y, Fraction(1, 2)), pow_(Y, Fraction(3, 2)))),
+    ],
+    ids=str,
+)
+def test_fixed_cases(e):
+    assert_matches_walk(e, POINTS)
+
+
+def test_constant_scale_and_value():
+    value, scale, ok = compile_scaled(add(div(Const(3), Const(4)), Const(1)))(POINTS.T)
+    assert ok.all() and (value == 1.75).all() and (scale == 4.0).all()
+
+
+def test_constant_zero_divisor_raises_nothing():
+    e = div(Const(1), sub(Const(2), Const(2)))
+    value, scale, ok = compile_scaled(e)(POINTS.T)
+    assert not ok.any()
+    (col,) = compile_columns([add(X, e)])(POINTS.T)
+    assert np.isinf(col).all()
+    v = sampled_zero_verdict(e, DomainBox.cube(-1, 1, 2), trials=20)
+    assert v.status is Status.INCONCLUSIVE and "all 20" in v.notes
+
+
+def test_variable_beyond_the_box_fails_every_row():
+    e = add(X, Var(3))
+    with pytest.raises(EvaluationError):
+        evaluate(e, (0.5, 0.5))
+    _, _, ok = compile_scaled(e)(POINTS.T)
+    assert not ok.any()
+    box = DomainBox.cube(-1, 1, 2)
+    assert sampled_zero_verdict(Unary("sin", e), box, trials=30).status is Status.INCONCLUSIVE
+    # a polynomial that no sample can evaluate still fails with certainty
+    assert identically_zero(e, box, trials=30).status is Status.FAILS
+
+
+def test_errors_are_counted_per_row():
+    # 1/x fails on exactly the rows with x = 0
+    pts = np.array([[0.0, 1.0], [1.0, 1.0], [-0.0, 2.0], [2.0, 0.0]])
+    value, _, ok = compile_scaled(div(Const(1), X))(pts.T)
+    assert ok.tolist() == [False, True, False, True]
+    assert value[1] == 1.0 and value[3] == 0.5
+
+
+def test_shared_subtrees_are_emitted_once():
+    # s is one object used twice; t is an equal but distinct tree
+    s = Unary("sin", mul(X, Y))
+    t = Unary("sin", mul(X, Y))
+    e = add(add(mul(s, s), t), Unary("cos", mul(X, Y)))
+    src = compile_columns([e]).source
+    assert src.count("_np.sin(") == 1 and src.count("_np.cos(") == 1
+    assert src.count("Z[0]") == 1 and src.count("Z[1]") == 1
+    assert src.count(" = ") == 8  # x, y, x*y, sin, sin^2, +, cos, +
+    assert_matches_walk(e, POINTS)
+
+
+def test_long_batches_run_in_blocks_with_the_same_rows():
+    e = add(Unary("log", X), div(Unary("exp", Y), X))
+    pts = np.random.default_rng(1).uniform(-3, 3, (2500, 2))
+    pts[::97, 0] = 0.0
+    whole = compile_scaled(e)(pts.T)
+    parts = [compile_scaled(e)(pts[i : i + 100].T) for i in range(0, 2500, 100)]
+    for got, want in zip(whole, (np.concatenate(p) for p in zip(*parts))):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_witnesses_are_the_largest_residuals_in_sample_order():
+    box = DomainBox.cube(-2, 2, 2)
+    # sin, sqrt and + - * / give the tree walk's bits, so the order is exact
+    e = add(mul(Unary("sin", X), Y), Unary("sqrt", add(mul(X, X), Const(1))))
+    v = sampled_zero_verdict(e, box, trials=50, rng=np.random.default_rng(3))
+    pts = box.sample(np.random.default_rng(3), 50)
+    ranked = sorted(((tuple(p), abs(evaluate(e, p))) for p in pts), key=lambda w: -w[1])
+    assert v.witnesses == tuple(ranked[:3])
+    # equal residuals keep sample order
+    flat = add(Const(1), mul(Const(0), Unary("sin", X)))
+    v = sampled_zero_verdict(flat, box, trials=200, rng=np.random.default_rng(4))
+    pts = box.sample(np.random.default_rng(4), 200)
+    assert [w[0] for w in v.witnesses] == [tuple(p) for p in pts[:3]]
+
+
+def test_deep_trees_compile_flat():
+    # a left-deep sum 3000 terms deep: past the recursion limit of a tree
+    # walk and the parser's limit of 200 nested parentheses
+    e = X
+    for k in range(3000):
+        e = add(e, mul(Const(k % 7), Y))
+    pts = np.array([[1.0, 2.0], [0.5, -1.0]])
+    want = pts[:, 0] + sum(k % 7 for k in range(3000)) * pts[:, 1]
+    (col,) = compile_columns([e])(pts.T)
+    np.testing.assert_allclose(col, want, rtol=1e-12)
+    value, _, ok = compile_scaled(e)(pts.T)
+    assert ok.all()
+    np.testing.assert_array_equal(value, col)
+
+
+def test_column_kernels_free_dead_temporaries():
+    # every temporary but the returned ones is deleted once, after its last
+    # use, so a large batch holds only the live ones
+    e = Unary("sin", add(mul(X, Y), pow_(Y, 2)))
+    src = compile_columns([e, mul(X, Y)]).source
+    assigned = [line.split(" = ")[0].strip() for line in src.splitlines() if " = " in line]
+    deleted = [t.strip() for line in src.splitlines() if line.strip().startswith("del ")
+               for t in line.strip()[4:].split(",")]
+    returned = src.splitlines()[-1]
+    kept = [t for t in assigned if t in returned.replace("(", " ").replace(",", " ").split()]
+    assert sorted(deleted) == sorted(set(assigned) - set(kept)) and len(kept) == 2
