@@ -76,7 +76,9 @@ class _DeltaSolver:
     def singular_at(self, z: np.ndarray, tol: float = SINGULAR_TOL) -> bool:
         J = self.jac(z)
         scale = 1.0 + float(np.max(np.abs(J)))
-        return abs(float(np.linalg.det(J))) < tol * scale
+        with np.errstate(all="ignore"):
+            det = float(np.linalg.det(J))
+        return abs(det) < tol * scale
 
     def roots(self, z: np.ndarray, seeds: np.ndarray, newton_tol: float = NEWTON_TOL) -> List[DeltaRoot]:
         target = self.signs * self.fn(z)
@@ -474,22 +476,11 @@ def _sign_profile(e: Expression) -> Optional[str]:
     """Certain sign information from the canonical form of a one-variable
     polynomial: "positive" (positive away from 0), "odd_positive"
     (sign matches x), "odd_negative" (sign opposes x), or None."""
-    if not ex.is_polynomial(e):
+    terms = ex.polynomial_terms(e)
+    if not terms:
         return None
-    s = ex.simplify(e)
-    nf = ex._to_nf(s)
-    if not nf:
-        return None
-    degrees = []
-    coeffs = []
-    for mono, c in nf.items():
-        deg = 0
-        for bk, p in mono:
-            if bk[0] != "v" or p.denominator != 1 or p < 0:
-                return None
-            deg += int(p)
-        degrees.append(deg)
-        coeffs.append(c)
+    degrees = [sum(exps) for exps in terms]
+    coeffs = list(terms.values())
     if all(d % 2 == 0 and d > 0 for d in degrees) and all(c > 0 for c in coeffs):
         return "positive"
     if all(d % 2 == 1 for d in degrees) and all(c > 0 for c in coeffs):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence, Union
 
 import numpy as np
@@ -120,25 +119,42 @@ def neg(a: Expression) -> Unary:
 
 # ---------------------------------------------------------------------------
 # tree utilities
+#
+# A canonical sum is a left-deep chain, one level per term, so the walks
+# below keep their own stack instead of recursing.
 # ---------------------------------------------------------------------------
 
 
 def node_count(e: Expression) -> int:
-    if isinstance(e, (Const, Var)):
-        return 1
-    if isinstance(e, Unary):
-        return 1 + node_count(e.arg)
-    return 1 + node_count(e.left) + node_count(e.right)
+    count = 0
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        count += 1
+        if isinstance(e, Unary):
+            stack.append(e.arg)
+        elif isinstance(e, Binary):
+            stack.append(e.left)
+            stack.append(e.right)
+    return count
 
 
 def max_var_index(e: Expression) -> int:
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Unary):
-        return max_var_index(e.arg)
-    return max(max_var_index(e.left), max_var_index(e.right))
+    top = 0
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if e._nf is not None:
+            # a monomial's last factor holds its largest variable index
+            top = max(top, max((m[-1][0][1] for m in e._nf if m), default=0))
+        elif isinstance(e, Var):
+            top = max(top, e.index)
+        elif isinstance(e, Unary):
+            stack.append(e.arg)
+        elif isinstance(e, Binary):
+            stack.append(e.left)
+            stack.append(e.right)
+    return top
 
 
 def is_polynomial(e: Expression) -> bool:
@@ -148,22 +164,31 @@ def is_polynomial(e: Expression) -> bool:
     integer exponents.  This is the fragment where canonical forms decide
     identities with certainty.
     """
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Unary):
-        return e.op == "neg" and is_polynomial(e.arg)
-    if e.op in ("add", "sub", "mul"):
-        return is_polynomial(e.left) and is_polynomial(e.right)
-    if e.op == "div":
-        return (
-            is_polynomial(e.left)
-            and isinstance(e.right, Const)
-            and e.right.value != 0
-        )
-    if e.op == "pow":
-        q = e.right.value
-        return q.denominator == 1 and q >= 0 and is_polynomial(e.left)
-    return False
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if e._nf is not None:
+            # a canonical tree over variables prints its exponents as pow nodes
+            if not all(type(p) is int and p > 0 for m in e._nf for _, p in m):
+                return False
+        elif isinstance(e, Unary):
+            if e.op != "neg":
+                return False
+            stack.append(e.arg)
+        elif isinstance(e, Binary):
+            if e.op in ("add", "sub", "mul"):
+                stack.append(e.right)
+            elif e.op == "div":
+                if not (isinstance(e.right, Const) and e.right.value != 0):
+                    return False
+            elif e.op == "pow":
+                q = e.right.value
+                if q.denominator != 1 or q < 0:
+                    return False
+            else:
+                return False
+            stack.append(e.left)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +212,17 @@ def _precedence(e: Expression) -> int:
     return {"add": _PREC_ADD, "sub": _PREC_ADD, "mul": _PREC_MUL, "div": _PREC_MUL, "pow": _PREC_POW}[e.op]
 
 
-def _wrap(e: Expression, context_prec: int) -> str:
-    s = to_string(e)
+def _wrap(e: Expression, s: str, context_prec: int) -> str:
     if _precedence(e) < context_prec:
         return f"({s})"
     return s
 
 
-def to_string(e: Expression) -> str:
-    """Deterministic infix rendering; parses back to the same tree."""
+_INFIX = {"add": (" + ", _PREC_ADD), "sub": (" - ", _PREC_ADD), "mul": ("*", _PREC_MUL), "div": ("/", _PREC_MUL)}
+
+
+def _render(e: Expression, parts: list) -> str:
+    """e's text from the texts of its operands, popped off the end of parts."""
     if isinstance(e, Const):
         v = e.value
         if v.denominator == 1:
@@ -204,40 +231,78 @@ def to_string(e: Expression) -> str:
     if isinstance(e, Var):
         return f"z{e.index}" if e.index > 3 else "xyz"[e.index - 1]
     if isinstance(e, Unary):
+        arg = parts.pop()
         if e.op == "neg":
-            return "-" + _wrap(e.arg, _PREC_NEG + 1)
-        return f"{e.op}({to_string(e.arg)})"
-    if e.op == "add":
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if e.op == "sub":
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if e.op == "mul":
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if e.op == "div":
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
-    # pow: base needs parens unless it is a plain positive-integer Const, Var
-    # or function call; exponent gets parens unless a nonnegative integer
-    base = _wrap(e.left, _PREC_ATOM)
-    q = e.right.value
-    if q.denominator == 1 and q >= 0:
-        return f"{base}^{q.numerator}"
-    return f"{base}^({to_string(e.right)})"
+            return "-" + _wrap(e.arg, arg, _PREC_NEG + 1)
+        return f"{e.op}({arg})"
+    right = parts.pop()
+    left = parts.pop()
+    if e.op == "pow":
+        # base needs parens unless it is a plain positive-integer Const, Var
+        # or function call; exponent gets parens unless a nonnegative integer
+        base = _wrap(e.left, left, _PREC_ATOM)
+        q = e.right.value
+        if q.denominator == 1 and q >= 0:
+            return f"{base}^{q.numerator}"
+        return f"{base}^({right})"
+    sep, prec = _INFIX[e.op]
+    return f"{_wrap(e.left, left, prec)}{sep}{_wrap(e.right, right, prec + 1)}"
+
+
+def to_string(e: Expression) -> str:
+    """Deterministic infix rendering; parses back to the same tree."""
+    parts: list = []
+    todo: list = [e]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:  # (node,): its operands are rendered
+            parts.append(_render(node[0], parts))
+        elif isinstance(node, Unary):
+            todo += ((node,), node.arg)
+        elif isinstance(node, Binary):
+            todo += ((node,), node.right, node.left)
+        else:
+            parts.append(_render(node, parts))
+    return parts[0]
 
 
 for _cls in (Const, Var, Unary, Binary):
     _cls.__str__ = to_string
+    # the normal form a canonical tree remembers (see below); a class
+    # attribute, not a dataclass field, so equality, hashing and printing
+    # never see it
+    _cls._nf = None
 
 
 # ---------------------------------------------------------------------------
 # canonical form
 #
-# A normal form (NF) maps monomials to rational coefficients.  A monomial is
-# a sorted tuple of (base key, exponent) factors with nonzero rational
-# exponents.  Base keys:
+# A normal form (NF) maps monomials to nonzero rational coefficients, each
+# an int or a Fraction (so integer polynomials compute in ints).  A
+# monomial is a tuple of (base key, exponent) factors sorted by base key,
+# with nonzero rational exponents: an int for an integral power, a Fraction
+# only for a fractional one.  Base keys:
 #   ("v", i)            variable i
 #   ("f", name, expr)   sin/cos/exp/log applied to a canonical argument
 #   ("e", expr)         composite base kept opaque under a non-integer or
 #                       negative power (no sound expansion exists)
+# Variable keys sort first, so a monomial is over variables iff its last
+# factor is.
+#
+# A tree that simplify (or a dict-level operation) returns for an NF over
+# variables (every base key ("v", i)) remembers that NF in its `_nf`
+# attribute, set once on the frozen node, and `_to_nf` returns it without
+# walking the tree.  There the round trip is exact:
+# `_to_nf(_nf_to_expr(nf)) == nf`.  With an opaque base it is not:
+# sqrt(u)*sqrt(u) gives ("e", u)^1, printed as u, which re-simplifies to the
+# expansion of u.  Const trees (ZERO and ONE are shared) never carry an NF.
+# NF dicts are shared through these caches, so no NF is mutated once built.
+#
+# On polynomial data (a cached NF, or a syntactic polynomial) differentiate,
+# compose and derivative_along work on the dict: a derivative lowers one
+# exponent, a composition multiplies cached powers of the map's components.
+# Anything else takes the tree path, `_d` / `_subst` and then `simplify`.
+# Both give the same canonical form, which is unique.
 # ---------------------------------------------------------------------------
 
 _FUNC_RANK = {"sin": 0, "cos": 1, "exp": 2, "log": 3}
@@ -251,42 +316,40 @@ def _base_sort_key(bk) -> tuple:
     return (2, 0, to_string(bk[1]))
 
 
-def _term_cmp(m1, m2) -> int:
-    # graded lexicographic, "larger" monomial first
-    g1 = sum(e for _, e in m1)
-    g2 = sum(e for _, e in m2)
-    if g1 != g2:
-        return -1 if g1 > g2 else 1
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        k1 = _base_sort_key(m1[i][0]) if i < len(m1) else None
-        k2 = _base_sort_key(m2[j][0]) if j < len(m2) else None
-        if k1 is not None and (k2 is None or k1 < k2):
-            e1, e2 = m1[i][1], Fraction(0)
-            i += 1
-        elif k2 is not None and (k1 is None or k2 < k1):
-            e1, e2 = Fraction(0), m2[j][1]
-            j += 1
-        else:
-            e1, e2 = m1[i][1], m2[j][1]
-            i += 1
-            j += 1
-        if e1 != e2:
-            return -1 if e1 > e2 else 1
-    return 0
+def _over_variables(nf: dict) -> bool:
+    return all(not m or m[-1][0][0] == "v" for m in nf)
+
+
+def _term_key(nf: dict):
+    """Sort key that puts the terms of nf in graded-lex order, larger
+    monomial first: the negated degree, then the negated exponents over the
+    bases of nf in base order (an absent base has exponent 0)."""
+    bases = sorted({bk for m in nf for bk, _ in m}, key=_base_sort_key)
+    slot = {bk: k for k, bk in enumerate(bases, start=1)}
+
+    def key(m):
+        v = [0] * (len(slot) + 1)
+        for bk, p in m:
+            v[slot[bk]] = -p
+        v[0] = -sum(p for _, p in m)
+        return v
+
+    return key
 
 
 _MONO_ONE = ()
 
 
-def _nf_const(c: Fraction) -> dict:
-    return {_MONO_ONE: c} if c != 0 else {}
+def _nf_const(c) -> dict:
+    if c == 0:
+        return {}
+    return {_MONO_ONE: c.numerator if c.denominator == 1 else c}
 
 
-def _nf_add(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _nf_iadd(out: dict, b: dict) -> dict:
+    """out += b, in place; out must be a dict this caller built."""
     for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s == 0:
             out.pop(m, None)
         else:
@@ -294,7 +357,7 @@ def _nf_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _nf_scale(a: dict, c: Fraction) -> dict:
+def _nf_scale(a: dict, c) -> dict:
     if c == 0:
         return {}
     return {m: k * c for m, k in a.items()}
@@ -303,25 +366,31 @@ def _nf_scale(a: dict, c: Fraction) -> dict:
 def _mono_mul(m1, m2):
     factors = dict(m1)
     for bk, e in m2:
-        s = factors.get(bk, Fraction(0)) + e
+        s = factors.get(bk, 0) + e
         if s == 0:
             factors.pop(bk, None)
         else:
-            factors[bk] = s
+            factors[bk] = s if type(s) is int or s.denominator != 1 else s.numerator
+    if (not m1 or m1[-1][0][0] == "v") and (not m2 or m2[-1][0][0] == "v"):
+        return tuple(sorted(factors.items()))
     return tuple(sorted(factors.items(), key=lambda f: _base_sort_key(f[0])))
 
 
-def _nf_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
+def _nf_addmul(out: dict, a: dict, b: dict) -> dict:
+    """out += a * b, in place; out must be a dict this caller built."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
+            s = out.get(m, 0) + c1 * c2
             if s == 0:
                 out.pop(m, None)
             else:
                 out[m] = s
     return out
+
+
+def _nf_mul(a: dict, b: dict) -> dict:
+    return _nf_addmul({}, a, b)
 
 
 def _nf_is_constant(a: dict) -> bool:
@@ -331,8 +400,7 @@ def _nf_is_constant(a: dict) -> bool:
 def _nf_leading_negative(a: dict) -> bool:
     if not a:
         return False
-    lead = min(a.keys(), key=cmp_to_key(_term_cmp))
-    return a[lead] < 0
+    return a[min(a, key=_term_key(a))] < 0
 
 
 def _int_nth_root(n: int, r: int):
@@ -370,21 +438,22 @@ def _nf_invert(a: dict) -> dict:
     if not a:
         raise ExprError("division by an expression that simplifies to zero")
     if _nf_is_constant(a):
-        return _nf_const(1 / a[_MONO_ONE])
+        return _nf_const(1 / Fraction(a[_MONO_ONE]))
     if len(a) == 1:
         ((m, c),) = a.items()
         inv = tuple(
             sorted(((bk, -e) for bk, e in m), key=lambda f: _base_sort_key(f[0]))
         )
-        return {inv: 1 / c}
-    return {((("e", _nf_to_expr(a)), Fraction(-1)),): Fraction(1)}
+        return {inv: 1 / Fraction(c)}
+    return {((("e", _nf_to_expr(a)), -1),): 1}
 
 
-def _nf_pow(a: dict, q: Fraction) -> dict:
+def _nf_pow(a: dict, q) -> dict:
+    """a**q for a rational exponent q (a Fraction or an int)."""
     if q == 0:
-        return _nf_const(Fraction(1))  # u^0 -> 1 (a.e. convention)
+        return _nf_const(1)  # u^0 -> 1 (a.e. convention)
     if _nf_is_constant(a):
-        c = a.get(_MONO_ONE, Fraction(0))
+        c = Fraction(a.get(_MONO_ONE, 0))
         if q.denominator == 1:
             k = int(q)
             if c == 0 and k < 0:
@@ -393,12 +462,12 @@ def _nf_pow(a: dict, q: Fraction) -> dict:
         root = _rational_root(c, q)
         if root is not None:
             return _nf_const(root)
-        return {((("e", _nf_to_expr(a)), q),): Fraction(1)}
+        return {((("e", _nf_to_expr(a)), q),): 1}
     if q.denominator == 1:
         k = int(q)
         if k < 0:
-            return _nf_pow(_nf_invert(a), Fraction(-k))
-        out = _nf_const(Fraction(1))
+            return _nf_pow(_nf_invert(a), -k)
+        out = _nf_const(1)
         base = a
         while k:
             if k & 1:
@@ -413,44 +482,62 @@ def _nf_pow(a: dict, q: Fraction) -> dict:
     if len(a) == 1:
         ((m, c),) = a.items()
         if c == 1 and len(m) == 1 and m[0][1] == 1:
-            return {((m[0][0], q),): Fraction(1)}
-    return {((("e", _nf_to_expr(a)), q),): Fraction(1)}
+            return {((m[0][0], q),): 1}
+    return {((("e", _nf_to_expr(a)), q),): 1}
 
 
 def _nf_func(name: str, arg: dict) -> dict:
     if name == "sin" and not arg:
         return {}
     if name in ("cos", "exp") and not arg:
-        return _nf_const(Fraction(1))
-    if name == "log" and arg == _nf_const(Fraction(1)):
+        return _nf_const(1)
+    if name == "log" and arg == _nf_const(1):
         return {}
     if name in ("sin", "cos") and _nf_leading_negative(arg):
-        inner = _nf_func(name, _nf_scale(arg, Fraction(-1)))
-        return _nf_scale(inner, Fraction(-1)) if name == "sin" else inner
+        inner = _nf_func(name, _nf_scale(arg, -1))
+        return _nf_scale(inner, -1) if name == "sin" else inner
     atom = ("f", name, _nf_to_expr(arg))
-    return {((atom, Fraction(1)),): Fraction(1)}
+    return {((atom, 1),): 1}
 
 
 def _to_nf(e: Expression) -> dict:
+    if e._nf is not None:
+        return e._nf
     if isinstance(e, Const):
         return _nf_const(e.value)
     if isinstance(e, Var):
-        return {((("v", e.index), Fraction(1)),): Fraction(1)}
+        return {((("v", e.index), 1),): 1}
     if isinstance(e, Unary):
         if e.op == "neg":
-            return _nf_scale(_to_nf(e.arg), Fraction(-1))
+            return _nf_scale(_to_nf(e.arg), -1)
         if e.op == "sqrt":
             return _nf_pow(_to_nf(e.arg), Fraction(1, 2))
         return _nf_func(e.op, _to_nf(e.arg))
-    if e.op == "add":
-        return _nf_add(_to_nf(e.left), _to_nf(e.right))
-    if e.op == "sub":
-        return _nf_add(_to_nf(e.left), _nf_scale(_to_nf(e.right), Fraction(-1)))
+    if e.op in ("add", "sub"):
+        inner, chain = _sum_chain(e)
+        out = dict(_to_nf(inner))
+        for node in chain:
+            right = _to_nf(node.right)
+            _nf_iadd(out, right if node.op == "add" else _nf_scale(right, -1))
+        return out
     if e.op == "mul":
         return _nf_mul(_to_nf(e.left), _to_nf(e.right))
     if e.op == "div":
         return _nf_mul(_to_nf(e.left), _nf_invert(_to_nf(e.right)))
     return _nf_pow(_to_nf(e.left), e.right.value)
+
+
+def _sum_chain(e: Binary) -> tuple:
+    """The left-deep add/sub chain that starts at e, as its innermost left
+    operand and its nodes from the inside out, so that a long sum is walked
+    in a loop.  Below e the chain stops at a tree that remembers its NF."""
+    chain = [e]
+    e = e.left
+    while isinstance(e, Binary) and e.op in ("add", "sub") and e._nf is None:
+        chain.append(e)
+        e = e.left
+    chain.reverse()
+    return e, chain
 
 
 def _base_to_expr(bk) -> Expression:
@@ -461,14 +548,14 @@ def _base_to_expr(bk) -> Expression:
     return bk[1]
 
 
-def _factor_to_expr(bk, e: Fraction) -> Expression:
+def _factor_to_expr(bk, e) -> Expression:
     base = _base_to_expr(bk)
     if e == 1:
         return base
     return Binary("pow", base, Const(e))
 
 
-def _term_to_expr(coeff: Fraction, mono) -> Expression:
+def _term_to_expr(coeff, mono) -> Expression:
     factors = [_factor_to_expr(bk, e) for bk, e in mono]
     if not factors:
         return Const(coeff)
@@ -491,7 +578,7 @@ def _term_to_expr(coeff: Fraction, mono) -> Expression:
 def _nf_to_expr(nf: dict) -> Expression:
     if not nf:
         return ZERO
-    terms = sorted(nf.keys(), key=cmp_to_key(_term_cmp))
+    terms = sorted(nf, key=_term_key(nf))
     first = terms[0]
     tree = _term_to_expr(nf[first], first)
     for m in terms[1:]:
@@ -503,13 +590,47 @@ def _nf_to_expr(nf: dict) -> Expression:
     return tree
 
 
+def _canonical(nf: dict) -> Expression:
+    """The canonical tree of nf, remembering nf when nf is over variables."""
+    tree = _nf_to_expr(nf)
+    if not isinstance(tree, Const) and _over_variables(nf):
+        object.__setattr__(tree, "_nf", nf)
+    return tree
+
+
 def simplify(e: Expression) -> Expression:
     """Canonical form: expanded, collected, graded-lex ordered.  Idempotent."""
-    return _nf_to_expr(_to_nf(e))
+    if e._nf is not None:
+        return e  # built from its NF, so already canonical
+    return _canonical(_to_nf(e))
 
 
 def is_zero(e: Expression) -> bool:
     return isinstance(e, Const) and e.value == 0
+
+
+def _polynomial_nf(e: Expression):
+    """The NF of e when e is polynomial data over variables (a canonical tree
+    that remembers its NF, or a syntactic polynomial); otherwise None."""
+    if e._nf is None and is_polynomial(e):
+        return _to_nf(e)
+    return e._nf
+
+
+def polynomial_terms(e: Expression):
+    """The terms of a polynomial e as {(a_1, ..., a_n): coefficient}, the key
+    standing for z1^a_1 * ... * zn^a_n with n = max_var_index(e); None when
+    e is not a polynomial."""
+    if not is_polynomial(e):
+        return None
+    n = max_var_index(e)
+    out = {}
+    for m, c in _to_nf(e).items():
+        exps = [0] * n
+        for (_, i), p in m:
+            exps[i - 1] = p
+        out[tuple(exps)] = Fraction(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +656,12 @@ def _d(e: Expression, var: int) -> Expression:
         if e.op == "log":
             return div(du, u)
         return div(du, mul(const(2), Unary("sqrt", u)))
-    if e.op == "add":
-        return add(_d(e.left, var), _d(e.right, var))
-    if e.op == "sub":
-        return sub(_d(e.left, var), _d(e.right, var))
+    if e.op in ("add", "sub"):
+        inner, chain = _sum_chain(e)
+        out = _d(inner, var)
+        for node in chain:
+            out = Binary(node.op, out, _d(node.right, var))
+        return out
     if e.op == "mul":
         return add(mul(_d(e.left, var), e.right), mul(e.left, _d(e.right, var)))
     if e.op == "div":
@@ -550,11 +673,39 @@ def _d(e: Expression, var: int) -> Expression:
     return mul(mul(Const(q), Binary("pow", e.left, Const(q - 1))), _d(e.left, var))
 
 
+def _nf_diff(nf: dict, var: int) -> dict:
+    """d/dz_var of an NF over variables: each monomial holding z_var lowers
+    its exponent by one.  Distinct monomials stay distinct."""
+    out = {}
+    for m, c in nf.items():
+        for k, ((_, i), p) in enumerate(m):
+            if i == var:
+                q = p - 1
+                rest = m[k + 1 :]
+                out[m[:k] + (((m[k][0], q),) + rest if q != 0 else rest)] = c * p
+                break
+    return out
+
+
 def differentiate(e: Expression, var: int) -> Expression:
     """Exact partial derivative with respect to variable `var` (1-based)."""
     if var < 1:
         raise ExprError(f"variable index must be >= 1, got {var}")
-    return simplify(_d(e, var))
+    nf = _polynomial_nf(e)
+    if nf is None:
+        return simplify(_d(e, var))
+    return _canonical(_nf_diff(nf, var))
+
+
+def derivative_along(e: Expression, components: Sequence[Expression]) -> Expression:
+    """sum_i (de/dz_i) * components[i-1], simplified: the derivative of e
+    along the field with these components."""
+    nf = _polynomial_nf(e)
+    out: dict = {}
+    for i, c in enumerate(components, start=1):
+        d = _nf_diff(nf, i) if nf is not None else _to_nf(simplify(_d(e, i)))
+        _nf_addmul(out, d, _to_nf(c))
+    return _canonical(out)
 
 
 def _subst(e: Expression, maps: Sequence[Expression]) -> Expression:
@@ -564,7 +715,43 @@ def _subst(e: Expression, maps: Sequence[Expression]) -> Expression:
         return maps[e.index - 1]
     if isinstance(e, Unary):
         return Unary(e.op, _subst(e.arg, maps))
+    if e.op in ("add", "sub"):
+        inner, chain = _sum_chain(e)
+        out = _subst(inner, maps)
+        for node in chain:
+            out = Binary(node.op, out, _subst(node.right, maps))
+        return out
     return Binary(e.op, _subst(e.left, maps), _subst(e.right, maps))
+
+
+def _nf_compose(nf: dict, maps: dict) -> dict:
+    """nf with the NF maps[i] substituted for variable i; the powers of each
+    map component are built once and shared between terms."""
+    powers: dict = {}
+
+    def power(i, p):
+        got = powers.get((i, p))
+        if got is None:
+            if p == 1:
+                got = maps[i]
+            elif type(p) is int and p > 1:
+                got = _nf_mul(power(i, p - 1), maps[i])
+            else:
+                got = _nf_pow(maps[i], p)
+            powers[(i, p)] = got
+        return got
+
+    out: dict = {}
+    for m, c in nf.items():
+        if not m:
+            _nf_iadd(out, {m: c})
+            continue
+        prod = {_MONO_ONE: c}
+        for (_, i), p in m[:-1]:
+            prod = _nf_mul(prod, power(i, p))
+        (_, i), p = m[-1]
+        _nf_addmul(out, prod, power(i, p))
+    return out
 
 
 def compose(e: Expression, maps: Sequence[Expression]) -> Expression:
@@ -572,6 +759,12 @@ def compose(e: Expression, maps: Sequence[Expression]) -> Expression:
     k = max_var_index(e)
     if k > len(maps):
         raise ExprError(f"expression uses variable {k} but only {len(maps)} components given")
+    nf = _polynomial_nf(e)
+    if nf is not None:
+        used = {bk[1] for m in nf for bk, _ in m}
+        map_nfs = {i: _polynomial_nf(maps[i - 1]) for i in used}
+        if all(v is not None for v in map_nfs.values()):
+            return _canonical(_nf_compose(nf, map_nfs))
     return simplify(_subst(e, maps))
 
 

@@ -156,10 +156,7 @@ def lie_derivative(e: Expression, F: VectorField) -> Expression:
     """Derivative of e along the flow of F: sum_i (de/dz_i) F_i."""
     if ex.max_var_index(e) > F.dimension:
         raise ValueError("expression dimension exceeds field dimension")
-    acc: Expression = ex.ZERO
-    for i, c in enumerate(F.components, start=1):
-        acc = ex.add(acc, ex.mul(ex.differentiate(e, i), c))
-    return ex.simplify(acc)
+    return ex.derivative_along(e, F.components)
 
 
 def is_involution(m: SmoothMap, box: Optional[DomainBox] = None, trials: int = 200, rng=None) -> Verdict:

@@ -58,10 +58,6 @@ class Trajectory:
     escaped: bool = False
     escape_cause: Optional[str] = None
 
-    def state_at_time_zero(self) -> Point:
-        k = int(np.argmin(np.abs(self.times)))
-        return as_point(self.states[k])
-
     def final_state(self) -> Point:
         return as_point(self.states[-1])
 

@@ -57,16 +57,17 @@ def build_tower(F: VectorField, max_order: int, node_budget: Optional[int] = Non
     if node_budget is None:
         node_budget = NODE_BUDGET
     orders = [divergence(F)]
+    if ex.node_count(orders[0]) > node_budget:
+        raise TowerBudgetError("divergence alone exceeds the node budget")
     for _ in range(max_order):
         nxt = lie_derivative(orders[-1], F)
-        if ex.node_count(nxt) > node_budget:
+        nodes = ex.node_count(nxt)
+        if nodes > node_budget:
             raise TowerBudgetError(
-                f"tower entry at order {len(orders)} has {ex.node_count(nxt)} nodes "
+                f"tower entry at order {len(orders)} has {nodes} nodes "
                 f"(budget {node_budget})"
             )
         orders.append(nxt)
-    if ex.node_count(orders[0]) > node_budget:
-        raise TowerBudgetError("divergence alone exceeds the node budget")
     return DivergenceTower(F, tuple(orders))
 
 
@@ -110,10 +111,6 @@ class SignMatrix:
     def __post_init__(self):
         if any(d not in (-1, 1) for d in self.diagonal):
             raise ValueError("sign matrix entries must be +-1")
-
-    @property
-    def is_identity(self) -> bool:
-        return all(d == 1 for d in self.diagonal)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.diagonal, dtype=float)

@@ -259,6 +259,25 @@ class TestCleanExit:
         assert "Traceback" not in err and err.count("\n") == 1
         assert err.startswith("symflow: internal error: emitted map failed verification (structural)")
 
+    CUBIC4 = (
+        "dim=4\nF1=z2*z3 - z1^3 + z4\nF2=z1*z4^2 - z2 + z3^2\nF3=z1^2*z2 - z3*z4\n"
+        "F4=z3^3 - z1*z2 + z4^2\nS1=z1\nS2=z2\nS3=z3\nS4=z4\nbox=-1,1,-1,1,-1,1,-1,1\n"
+    )
+
+    def test_long_canonical_forms_exit_cleanly(self, tmp_path, capsys):
+        # the order-7 tower entry is a sum of well over a thousand terms, a
+        # left-deep chain deeper than Python's recursion limit
+        spec = write(tmp_path, "cubic4.spec", self.CUBIC4)
+        result = main(["check", spec, "--kind", "symmetry", "--orders", "7"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert result in (0, 1, 3)
+        if result == 3:
+            assert captured.err.startswith("symflow: ") and captured.err.count("\n") == 1
+        else:
+            report = json.loads(captured.out)
+            assert report["exit_code"] == result
+
     @pytest.mark.parametrize("text, code", [
         (LV_GOOD.replace("a=1", "a=1/0"), 2),
         (GENERIC.replace("box=-2,2,-2,2", "box=-2,1e999,-2,2"), 2),

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symflow.expr import (
     Binary,
     Const,
     EvaluationError,
     ExprError,
+    Unary,
     Var,
     compose,
     differentiate,
@@ -20,6 +22,7 @@ from symflow.expr import (
     simplify,
     to_string,
 )
+from symflow import expr as ex
 from symflow.parser import parse
 
 from conftest import p1, p2, poly_exprs, smooth_exprs
@@ -217,3 +220,156 @@ class TestPrinting:
     def test_round_trip_property(self, e):
         s = simplify(e)
         assert parse(to_string(s), 2) == s
+
+
+# --- normal forms kept through the core: integer exponents, remembered NFs,
+# dict-level calculus --------------------------------------------------------
+
+_POWERS = [Fraction(k) for k in (-2, -1, 2, 3)] + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+
+
+def laurent_exprs(max_leaves=10):
+    """Trees whose normal forms stay over variables: variables under integer,
+    negative and fractional powers, joined by + - * and negation."""
+    leaf = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Const),
+        st.integers(min_value=1, max_value=2).map(Var),
+        st.builds(lambda i, q: Binary("pow", Var(i), Const(q)), st.integers(1, 2), st.sampled_from(_POWERS)),
+    )
+    return st.recursive(
+        leaf,
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul"]), children, children),
+            st.builds(Unary, st.just("neg"), children),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def _exponents(nf):
+    return [p for m in nf for _, p in m]
+
+
+class TestRememberedNormalForm:
+    def test_integer_exponents_are_ints(self):
+        nf = ex._to_nf(p2("x^2*y - x^(3/2) + x^(-1)"))
+        assert sorted(map(str, _exponents(nf))) == ["-1", "1", "2", "3/2"]
+        assert {type(p) for p in _exponents(nf)} == {int, Fraction}
+        assert all(type(p) is int for p in _exponents(ex._to_nf(p2("(x + y)^3*x"))))
+
+    def test_simplify_output_remembers_and_is_not_re_expanded(self):
+        s = simplify(p2("(x + 2*y)^4 - x*y"))
+        assert s._nf is not None
+        assert ex._to_nf(s) is s._nf
+        assert simplify(s) is s
+        assert differentiate(s, 1)._nf == ex._to_nf(parse(to_string(differentiate(s, 1)), 2))
+
+    def test_remembered_nf_is_never_mutated(self):
+        s = simplify(p2("x^2*y - 3*y + 1"))
+        before = dict(s._nf)
+        simplify(Binary("sub", s, Var(1)))
+        simplify(Binary("add", Binary("add", s, s), s))
+        simplify(Binary("mul", s, Binary("pow", s, Const(2))))
+        differentiate(s, 2)
+        compose(s, [s, Var(1)])
+        ex.derivative_along(s, [s, s])
+        assert s._nf == before
+        assert to_string(s) == "x^2*y - 3*y + 1"
+
+    def test_constants_get_no_cache(self):
+        assert simplify(p2("x - x"))._nf is None
+        assert simplify(p2("(x + 1)^2 - x^2 - 2*x"))._nf is None
+        assert ex.ZERO._nf is None and ex.ONE._nf is None
+
+    @pytest.mark.parametrize("text, printed, again", [
+        ("sqrt(x+1)*sqrt(x+1)", "x + 1", "x + 1"),
+        ("sqrt(x+1)*sqrt(x+1) - x - 1", "-x + (x + 1) - 1", "0"),
+        ("sqrt(x+y)^2*y", "y*(x + y)", "x*y + y^2"),
+    ])
+    def test_opaque_base_gets_no_cache(self, text, printed, again):
+        # ("e", u)^1 prints as u; re-simplifying u expands it, so remembering
+        # the opaque NF on that tree would change the second result
+        s = simplify(p2(text))
+        assert s._nf is None
+        assert to_string(s) == printed
+        assert to_string(simplify(s)) == again
+
+    @given(laurent_exprs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_cached_nf_matches_a_fresh_walk(self, e):
+        s = simplify(e)
+        fresh = parse(to_string(s), 2)  # a new tree: no node carries an NF
+        assert fresh == s
+        if isinstance(s, Const):
+            assert s._nf is None
+            return
+        assert s._nf == ex._to_nf(fresh)
+        assert all(type(p) is int or p.denominator != 1 for p in _exponents(s._nf))
+        assert is_polynomial(s) == is_polynomial(fresh)
+        assert ex.max_var_index(s) == ex.max_var_index(fresh)
+
+
+class TestDictCalculusMatchesTreePath:
+    """The dict-level operations give the tree path's canonical form."""
+
+    @given(st.one_of(poly_exprs(), laurent_exprs()), st.integers(1, 2))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_differentiate(self, e, var):
+        for source in (e, simplify(e)):
+            assert differentiate(source, var) == simplify(ex._d(source, var))
+
+    @given(laurent_exprs(), poly_exprs(max_leaves=6), poly_exprs(max_leaves=6))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_compose(self, e, m1, m2):
+        maps = [m1, simplify(m2)]
+        for source in (e, simplify(e)):
+            try:
+                expected = simplify(ex._subst(source, maps))
+            except ExprError as exc:  # a map that vanishes under a negative power
+                with pytest.raises(ExprError, match=str(exc)):
+                    compose(source, maps)
+                continue
+            assert compose(source, maps) == expected
+
+    @given(st.one_of(poly_exprs(), laurent_exprs()), smooth_exprs(max_leaves=6), poly_exprs(max_leaves=6))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_derivative_along(self, e, c1, c2):
+        expected = simplify(Binary(
+            "add", Binary("mul", differentiate(e, 1), c1), Binary("mul", differentiate(e, 2), c2)
+        ))
+        assert ex.derivative_along(simplify(e), [c1, c2]) == expected
+
+
+class TestLongChains:
+    N = 2000  # twice the default recursion limit
+
+    def chain(self):
+        return simplify(parse(" + ".join(f"{k}*x^{k}" for k in range(1, self.N + 1)), 1))
+
+    def test_walks_do_not_recurse(self):
+        s = self.chain()
+        # x, then N - 1 terms k*x^k of five nodes each, joined by N - 1 adds
+        assert ex.node_count(s) == 6 * self.N - 5
+        assert ex.max_var_index(s) == 1
+        assert is_polynomial(s)
+        text = to_string(s)
+        assert text.startswith(f"{self.N}*x^{self.N} + ") and text.endswith(" + 2*x^2 + x")
+
+    def test_tree_path_handles_long_sums(self):
+        # trees this deep compare by their text: dataclass equality recurses
+        s = self.chain()
+        text = to_string(s)
+        fresh = parse(text, 1)
+        assert to_string(simplify(fresh)) == text
+        assert to_string(simplify(ex._d(fresh, 1))) == to_string(differentiate(s, 1))
+        swapped = ex._subst(Binary("mul", fresh, Unary("sin", Var(1))), [Var(1)])
+        assert to_string(swapped) == f"({text})*sin(x)"
+
+
+def test_polynomial_terms():
+    assert ex.polynomial_terms(p2("3*x^2*y - y + 1/2")) == {
+        (2, 1): 3, (0, 1): -1, (0, 0): Fraction(1, 2),
+    }
+    assert ex.polynomial_terms(p2("x - x")) == {}
+    assert ex.polynomial_terms(p2("x^(1/2)")) is None
+    assert ex.polynomial_terms(p2("sin(x)")) is None

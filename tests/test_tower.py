@@ -2,7 +2,7 @@
 
 import pytest
 
-from symflow.expr import Const, evaluate, simplify
+from symflow.expr import Const, evaluate, node_count, simplify
 from symflow.fields import VectorField, divergence, lie_derivative
 from symflow.candidates import lienard_field, lotka_volterra_field
 from symflow.geometry import DomainBox
@@ -56,6 +56,25 @@ class TestBuildTower:
         F = field2("x^3*y^3 + x", "y^3*x^2 + y")
         with pytest.raises(TowerBudgetError):
             build_tower(F, 12, node_budget=500)
+
+    def test_divergence_budget_checked_before_any_order(self, monkeypatch):
+        import symflow.tower
+
+        def no_orders(*args):
+            raise AssertionError("an order was built")
+
+        monkeypatch.setattr(symflow.tower, "lie_derivative", no_orders)
+        with pytest.raises(TowerBudgetError, match="divergence alone"):
+            build_tower(field2("x^3*y^3 + x", "y^3*x^2 + y"), 12, node_budget=5)
+
+    def test_cubic_field_in_four_variables(self):
+        texts = ("z2*z3 - z1^3 + z4", "z1*z4^2 - z2 + z3^2", "z1^2*z2 - z3*z4", "z3^3 - z1*z2 + z4^2")
+        F = VectorField([parse(t, 4) for t in texts], DomainBox.cube(-1, 1, 4))
+        t = build_tower(F, 5)
+        assert [node_count(o) for o in t.orders] == [9, 31, 177, 709, 2269, 5543]
+        # every entry remembers its normal form, so the next order and the
+        # checks read the dict instead of walking the tree again
+        assert all(o._nf is not None for o in t.orders)
 
 
 class TestSelection:
