@@ -142,11 +142,20 @@ def node_count(e: Expression) -> int:
 def max_var_index(e: Expression) -> int:
     top = 0
     stack = [e]
+    args: set = set()  # the atom arguments already pushed, by id
     while stack:
         e = stack.pop()
         if e._nf is not None:
-            # a monomial's last factor holds its largest variable index
-            top = max(top, max((m[-1][0][1] for m in e._nf if m), default=0))
+            # variables sort first, so a monomial's last variable factor
+            # holds its largest index; the atoms after it hold their own
+            for m in e._nf:
+                for bk, _ in reversed(m):
+                    if bk[0] == "v":
+                        top = max(top, bk[1])
+                        break
+                    if id(bk[2]) not in args:
+                        args.add(id(bk[2]))
+                        stack.append(bk[2])
         elif isinstance(e, Var):
             top = max(top, e.index)
         elif isinstance(e, Unary):
@@ -168,8 +177,9 @@ def is_polynomial(e: Expression) -> bool:
     while stack:
         e = stack.pop()
         if e._nf is not None:
-            # a canonical tree over variables prints its exponents as pow nodes
-            if not all(type(p) is int and p > 0 for m in e._nf for _, p in m):
+            # a canonical tree prints its exponents as pow nodes; an atom is
+            # no polynomial
+            if not all(bk[0] == "v" and type(p) is int and p > 0 for m in e._nf for bk, p in m):
                 return False
         elif isinstance(e, Unary):
             if e.op != "neg":
@@ -266,12 +276,74 @@ def to_string(e: Expression) -> str:
     return parts[0]
 
 
+def _children(e: Expression) -> tuple:
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, Unary):
+        return (e.arg,)
+    return ()
+
+
+def _fields(e: Expression) -> tuple:
+    if isinstance(e, Binary):
+        return (e.op, e.left, e.right)
+    if isinstance(e, Unary):
+        return (e.op, e.arg)
+    return (e.value,) if isinstance(e, Const) else (e.index,)
+
+
+def _tree_hash(e: Expression) -> int:
+    """The dataclass hash, hash of the tuple of fields, computed once per
+    node and bottom-up with an explicit stack, so that a long sum neither
+    recurses nor is re-hashed at every dict lookup of an atom key."""
+    if e._hash is None:
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            todo = [c for c in _children(node) if c._hash is None]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if node._hash is not None:  # a shared subtree, pushed twice
+                continue
+            # the children's hashes are cached, so this hash is one level deep
+            object.__setattr__(node, "_hash", hash(_fields(node)))
+    return e._hash
+
+
+def _tree_eq(a: Expression, b) -> bool:
+    """The dataclass equality (same classes and equal fields, compared
+    left to right), walked with an explicit stack."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__:
+            return False
+        if x._hash is not None and y._hash is not None and x._hash != y._hash:
+            return False
+        fx, fy = _fields(x), _fields(y)
+        if fx[0] != fy[0]:
+            return False
+        stack += reversed(tuple(zip(fx[1:], fy[1:])))
+    return True
+
+
 for _cls in (Const, Var, Unary, Binary):
     _cls.__str__ = to_string
-    # the normal form a canonical tree remembers (see below); a class
-    # attribute, not a dataclass field, so equality, hashing and printing
-    # never see it
+    _cls.__eq__ = _tree_eq
+    _cls.__hash__ = _tree_hash
+    # caches set once on the frozen node: the normal form a canonical tree
+    # remembers (see below), the hash, and the text of an atom argument.
+    # Class attributes, not dataclass fields, so equality, hashing and
+    # printing never see them
     _cls._nf = None
+    _cls._hash = None
+    _cls._text = None
 
 
 # ---------------------------------------------------------------------------
@@ -283,41 +355,65 @@ for _cls in (Const, Var, Unary, Binary):
 # with nonzero rational exponents: an int for an integral power, a Fraction
 # only for a fractional one.  Base keys:
 #   ("v", i)            variable i
-#   ("f", name, expr)   sin/cos/exp/log applied to a canonical argument
+#   ("f", name, expr)   an atom: sin/cos/exp/log applied to a canonical
+#                       argument (a sin/cos argument's leading coefficient
+#                       is positive)
 #   ("e", expr)         composite base kept opaque under a non-integer or
 #                       negative power (no sound expansion exists)
 # Variable keys sort first, so a monomial is over variables iff its last
-# factor is.
+# factor is.  An atom's sort key reads its argument's text, which is
+# rendered once and kept on the argument (`_text`).
 #
-# A tree that simplify (or a dict-level operation) returns for an NF over
-# variables (every base key ("v", i)) remembers that NF in its `_nf`
-# attribute, set once on the frozen node, and `_to_nf` returns it without
-# walking the tree.  There the round trip is exact:
-# `_to_nf(_nf_to_expr(nf)) == nf`.  With an opaque base it is not:
-# sqrt(u)*sqrt(u) gives ("e", u)^1, printed as u, which re-simplifies to the
-# expansion of u.  Const trees (ZERO and ONE are shared) never carry an NF.
-# NF dicts are shared through these caches, so no NF is mutated once built.
+# A tree that simplify (or a dict-level operation) returns for an exact NF
+# remembers that NF in its `_nf` attribute, set once on the frozen node, and
+# `_to_nf` returns it without walking the tree.  An NF is exact when every
+# base is a variable, or an atom whose argument is a constant or itself
+# remembers its NF; then, by induction on the depth of atoms, the round trip
+# is exact: `_to_nf(_nf_to_expr(nf)) == nf`.  With an opaque base, at any
+# depth, it is not: sqrt(u)*sqrt(u) gives ("e", u)^1, printed as u, which
+# re-simplifies to the expansion of u.  Const trees (ZERO and ONE are
+# shared) never carry an NF.  NF dicts are shared through these caches, so
+# no NF is mutated once built.
 #
-# On polynomial data (a cached NF, or a syntactic polynomial) differentiate,
-# compose and derivative_along work on the dict: a derivative lowers one
-# exponent, a composition multiplies cached powers of the map's components.
-# Anything else takes the tree path, `_d` / `_subst` and then `simplify`.
-# Both give the same canonical form, which is unique.
+# On exact data (a remembered NF, or a syntactic polynomial) differentiate,
+# compose and derivative_along work on the dict.  A derivative takes the
+# product rule over a monomial's factors: a variable lowers its exponent,
+# and an atom gives d sin u = cos u du, d cos u = -sin u du,
+# d exp u = exp u du and d log u = du u^-1, with du from the argument's NF.
+# A composition multiplies cached powers of the bases' images: a variable's
+# image is its map component, an atom's is `_nf_func(name, image of its
+# argument)`, which orients a sin/cos argument as simplify does.  Anything
+# else takes the tree path, `_d` / `_subst` and then `simplify`.  Both give
+# the same canonical form, which is unique.
 # ---------------------------------------------------------------------------
 
 _FUNC_RANK = {"sin": 0, "cos": 1, "exp": 2, "log": 3}
+
+
+def _text(e: Expression) -> str:
+    """to_string(e), rendered once and kept on the node."""
+    if e._text is None:
+        object.__setattr__(e, "_text", to_string(e))
+    return e._text
 
 
 def _base_sort_key(bk) -> tuple:
     if bk[0] == "v":
         return (0, bk[1], "")
     if bk[0] == "f":
-        return (1, _FUNC_RANK[bk[1]], to_string(bk[2]))
-    return (2, 0, to_string(bk[1]))
+        return (1, _FUNC_RANK[bk[1]], _text(bk[2]))
+    return (2, 0, _text(bk[1]))
 
 
-def _over_variables(nf: dict) -> bool:
-    return all(not m or m[-1][0][0] == "v" for m in nf)
+def _is_exact(nf: dict) -> bool:
+    """Whether the round trip of nf through its tree is exact: every base a
+    variable, or an atom over a constant or over a tree remembering its NF."""
+    for m in nf:
+        if m and m[-1][0][0] != "v":
+            for bk, _ in m:
+                if bk[0] == "e" or (bk[0] == "f" and bk[2]._nf is None and not isinstance(bk[2], Const)):
+                    return False
+    return True
 
 
 def _term_key(nf: dict):
@@ -496,7 +592,7 @@ def _nf_func(name: str, arg: dict) -> dict:
     if name in ("sin", "cos") and _nf_leading_negative(arg):
         inner = _nf_func(name, _nf_scale(arg, -1))
         return _nf_scale(inner, -1) if name == "sin" else inner
-    atom = ("f", name, _nf_to_expr(arg))
+    atom = ("f", name, _canonical(arg))
     return {((atom, 1),): 1}
 
 
@@ -591,9 +687,9 @@ def _nf_to_expr(nf: dict) -> Expression:
 
 
 def _canonical(nf: dict) -> Expression:
-    """The canonical tree of nf, remembering nf when nf is over variables."""
+    """The canonical tree of nf, remembering nf when nf is exact."""
     tree = _nf_to_expr(nf)
-    if not isinstance(tree, Const) and _over_variables(nf):
+    if not isinstance(tree, Const) and _is_exact(nf):
         object.__setattr__(tree, "_nf", nf)
     return tree
 
@@ -609,9 +705,9 @@ def is_zero(e: Expression) -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
-def _polynomial_nf(e: Expression):
-    """The NF of e when e is polynomial data over variables (a canonical tree
-    that remembers its NF, or a syntactic polynomial); otherwise None."""
+def _exact_nf(e: Expression):
+    """The NF of e when it is exact data (a canonical tree that remembers its
+    NF, or a syntactic polynomial); otherwise None."""
     if e._nf is None and is_polynomial(e):
         return _to_nf(e)
     return e._nf
@@ -673,17 +769,54 @@ def _d(e: Expression, var: int) -> Expression:
     return mul(mul(Const(q), Binary("pow", e.left, Const(q - 1))), _d(e.left, var))
 
 
+def _atom_diff(bk, var: int) -> dict:
+    """d/dz_var of the atom bk = ("f", name, u) of an exact NF."""
+    _, name, u = bk
+    u_nf = _to_nf(u)
+    if name == "log":
+        # inverted even where du = 0, so that log(0) raises as du/u does
+        outer = _nf_invert(u_nf)
+    du = _nf_diff(u_nf, var)
+    if not du:
+        return {}
+    if name == "sin":
+        outer = {((("f", "cos", u), 1),): 1}
+    elif name == "cos":
+        outer = {((("f", "sin", u), 1),): -1}
+    elif name == "exp":
+        outer = {((bk, 1),): 1}
+    return _nf_mul(outer, du)
+
+
 def _nf_diff(nf: dict, var: int) -> dict:
-    """d/dz_var of an NF over variables: each monomial holding z_var lowers
-    its exponent by one.  Distinct monomials stay distinct."""
-    out = {}
+    """d/dz_var of an exact NF, by the product rule over each monomial's
+    factors: z_var lowers its exponent by one, and an atom's power p gives
+    p atom^(p-1) d(atom)."""
+    out: dict = {}
+    atoms: dict = {}  # atom -> its derivative
     for m, c in nf.items():
-        for k, ((_, i), p) in enumerate(m):
-            if i == var:
-                q = p - 1
-                rest = m[k + 1 :]
-                out[m[:k] + (((m[k][0], q),) + rest if q != 0 else rest)] = c * p
-                break
+        for k, (bk, p) in enumerate(m):
+            if bk[0] == "v":
+                if bk[1] != var:
+                    continue
+                d = None  # the factor's derivative is 1
+            else:
+                d = atoms.get(bk)
+                if d is None:
+                    d = atoms[bk] = _atom_diff(bk, var)
+                if not d:
+                    continue
+            q = p - 1
+            rest = m[k + 1 :]
+            lowered = m[:k] + (((bk, q),) + rest if q != 0 else rest)
+            if d is None:
+                s = out.get(lowered, 0) + c * p
+                if s == 0:
+                    del out[lowered]
+                else:
+                    out[lowered] = s
+            else:
+                _nf_addmul(out, {lowered: c * p}, d)
     return out
 
 
@@ -691,7 +824,7 @@ def differentiate(e: Expression, var: int) -> Expression:
     """Exact partial derivative with respect to variable `var` (1-based)."""
     if var < 1:
         raise ExprError(f"variable index must be >= 1, got {var}")
-    nf = _polynomial_nf(e)
+    nf = _exact_nf(e)
     if nf is None:
         return simplify(_d(e, var))
     return _canonical(_nf_diff(nf, var))
@@ -700,7 +833,7 @@ def differentiate(e: Expression, var: int) -> Expression:
 def derivative_along(e: Expression, components: Sequence[Expression]) -> Expression:
     """sum_i (de/dz_i) * components[i-1], simplified: the derivative of e
     along the field with these components."""
-    nf = _polynomial_nf(e)
+    nf = _exact_nf(e)
     out: dict = {}
     for i, c in enumerate(components, start=1):
         d = _nf_diff(nf, i) if nf is not None else _to_nf(simplify(_d(e, i)))
@@ -724,34 +857,42 @@ def _subst(e: Expression, maps: Sequence[Expression]) -> Expression:
     return Binary(e.op, _subst(e.left, maps), _subst(e.right, maps))
 
 
-def _nf_compose(nf: dict, maps: dict) -> dict:
-    """nf with the NF maps[i] substituted for variable i; the powers of each
-    map component are built once and shared between terms."""
+def _nf_compose(nf: dict, maps: Sequence[Expression]) -> dict:
+    """nf with maps[i-1] substituted for variable i.  A variable's image is
+    the NF of its map component and an atom's image is its function of the
+    image of its argument; the powers of each image are built once and
+    shared between terms and between nested atoms."""
     powers: dict = {}
 
-    def power(i, p):
-        got = powers.get((i, p))
+    def power(bk, p):
+        got = powers.get((bk, p))
         if got is None:
-            if p == 1:
-                got = maps[i]
+            if p == 1:  # the image itself
+                if bk[0] == "v":
+                    got = _to_nf(maps[bk[1] - 1])
+                else:
+                    got = _nf_func(bk[1], substitute(_to_nf(bk[2])))
             elif type(p) is int and p > 1:
-                got = _nf_mul(power(i, p - 1), maps[i])
+                got = _nf_mul(power(bk, p - 1), power(bk, 1))
             else:
-                got = _nf_pow(maps[i], p)
-            powers[(i, p)] = got
+                got = _nf_pow(power(bk, 1), p)
+            powers[(bk, p)] = got
         return got
 
-    out: dict = {}
-    for m, c in nf.items():
-        if not m:
-            _nf_iadd(out, {m: c})
-            continue
-        prod = {_MONO_ONE: c}
-        for (_, i), p in m[:-1]:
-            prod = _nf_mul(prod, power(i, p))
-        (_, i), p = m[-1]
-        _nf_addmul(out, prod, power(i, p))
-    return out
+    def substitute(nf):
+        out: dict = {}
+        for m, c in nf.items():
+            if not m:
+                _nf_iadd(out, {m: c})
+                continue
+            prod = {_MONO_ONE: c}
+            for bk, p in m[:-1]:
+                prod = _nf_mul(prod, power(bk, p))
+            bk, p = m[-1]
+            _nf_addmul(out, prod, power(bk, p))
+        return out
+
+    return substitute(nf)
 
 
 def compose(e: Expression, maps: Sequence[Expression]) -> Expression:
@@ -759,13 +900,10 @@ def compose(e: Expression, maps: Sequence[Expression]) -> Expression:
     k = max_var_index(e)
     if k > len(maps):
         raise ExprError(f"expression uses variable {k} but only {len(maps)} components given")
-    nf = _polynomial_nf(e)
-    if nf is not None:
-        used = {bk[1] for m in nf for bk, _ in m}
-        map_nfs = {i: _polynomial_nf(maps[i - 1]) for i in used}
-        if all(v is not None for v in map_nfs.values()):
-            return _canonical(_nf_compose(nf, map_nfs))
-    return simplify(_subst(e, maps))
+    nf = _exact_nf(e)
+    if nf is None:
+        return simplify(_subst(e, maps))
+    return _canonical(_nf_compose(nf, maps))
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +920,29 @@ def const_float(c: Fraction) -> float:
         return math.inf if c > 0 else -math.inf
 
 
-def _eval(e: Expression, coords: Sequence[float]) -> float:
+def _postorder(e: Expression, enter=None):
+    """The nodes of e in the order a left-to-right recursive walk finishes
+    them, with an explicit stack; a pow exponent is not visited.
+    enter(node), if given, runs when the walk first reaches a node."""
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            yield node
+            continue
+        if enter is not None:
+            enter(node)
+        stack.append((node, True))
+        if isinstance(node, Unary):
+            stack.append((node.arg, False))
+        elif isinstance(node, Binary):
+            if node.op != "pow":
+                stack.append((node.right, False))
+            stack.append((node.left, False))
+
+
+def _eval_node(e: Expression, vals: list, coords: Sequence[float]) -> float:
+    """e's value from its operands' values, popped off the end of vals."""
     if isinstance(e, Const):
         v = const_float(e.value)
     elif isinstance(e, Var):
@@ -790,7 +950,7 @@ def _eval(e: Expression, coords: Sequence[float]) -> float:
             raise EvaluationError(f"point has {len(coords)} coordinates", e)
         v = float(coords[e.index - 1])
     elif isinstance(e, Unary):
-        u = _eval(e.arg, coords)
+        u = vals.pop()
         if e.op == "neg":
             v = -u
         elif e.op == "sin":
@@ -810,35 +970,35 @@ def _eval(e: Expression, coords: Sequence[float]) -> float:
             if u < 0.0:
                 raise EvaluationError("sqrt of a negative value", e)
             v = math.sqrt(u)
-    else:
-        a = _eval(e.left, coords)
-        if e.op == "pow":
-            q = e.right.value
-            try:
-                if q.denominator == 1:
-                    if a == 0.0 and q < 0:
-                        raise EvaluationError("zero base with negative exponent", e)
-                    v = a ** int(q)
-                else:
-                    if a < 0.0:
-                        raise EvaluationError("negative base with fractional exponent", e)
-                    if a == 0.0 and q < 0:
-                        raise EvaluationError("zero base with negative exponent", e)
-                    v = a ** float(q)
-            except OverflowError:
-                raise EvaluationError("pow overflow", e) from None
-        else:
-            b = _eval(e.right, coords)
-            if e.op == "add":
-                v = a + b
-            elif e.op == "sub":
-                v = a - b
-            elif e.op == "mul":
-                v = a * b
+    elif e.op == "pow":
+        a = vals.pop()
+        q = e.right.value
+        try:
+            if q.denominator == 1:
+                if a == 0.0 and q < 0:
+                    raise EvaluationError("zero base with negative exponent", e)
+                v = a ** int(q)
             else:
-                if b == 0.0:
-                    raise EvaluationError("division by zero", e)
-                v = a / b
+                if a < 0.0:
+                    raise EvaluationError("negative base with fractional exponent", e)
+                if a == 0.0 and q < 0:
+                    raise EvaluationError("zero base with negative exponent", e)
+                v = a ** float(q)
+        except OverflowError:
+            raise EvaluationError("pow overflow", e) from None
+    else:
+        b = vals.pop()
+        a = vals.pop()
+        if e.op == "add":
+            v = a + b
+        elif e.op == "sub":
+            v = a - b
+        elif e.op == "mul":
+            v = a * b
+        else:
+            if b == 0.0:
+                raise EvaluationError("division by zero", e)
+            v = a / b
     if not math.isfinite(v):
         raise EvaluationError("non-finite intermediate value", e)
     return v
@@ -846,47 +1006,59 @@ def _eval(e: Expression, coords: Sequence[float]) -> float:
 
 def evaluate(e: Expression, point: Sequence[float]) -> float:
     """IEEE double evaluation at a point; raises EvaluationError on domain faults."""
-    return _eval(e, tuple(point))
+    coords = tuple(point)
+    vals: list = []
+    for node in _postorder(e):
+        vals.append(_eval_node(node, vals, coords))
+    return vals[0]
+
+
+def _exact_node(node: Expression, vals: list, coords: tuple) -> Fraction:
+    """node's exact value from its operands' values, popped off vals."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        if node.index > len(coords):
+            raise EvaluationError(f"point has {len(coords)} coordinates", node)
+        return coords[node.index - 1]
+    if isinstance(node, Unary):  # neg: enter() rejected the others
+        return -vals.pop()
+    if node.op == "pow":
+        a = vals.pop()
+        q = node.right.value
+        if q.denominator != 1:
+            root = _rational_root(a, q)
+            if root is None:
+                raise ExprError("fractional power has no exact rational value")
+            return root
+        if a == 0 and q < 0:
+            raise EvaluationError("zero base with negative exponent", node)
+        return a ** int(q)
+    b = vals.pop()
+    a = vals.pop()
+    if node.op == "add":
+        return a + b
+    if node.op == "sub":
+        return a - b
+    if node.op == "mul":
+        return a * b
+    if b == 0:
+        raise EvaluationError("division by zero", node)
+    return a / b
+
+
+def _rational_only(node: Expression) -> None:
+    if isinstance(node, Unary) and node.op != "neg":
+        raise ExprError(f"{node.op} has no exact rational value")
 
 
 def evaluate_exact(e: Expression, point: Sequence) -> Fraction:
     """Exact rational evaluation; requires a rational-only tree and rational coordinates."""
     coords = tuple(Fraction(c) for c in point)
-
-    def run(node: Expression) -> Fraction:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            if node.index > len(coords):
-                raise EvaluationError(f"point has {len(coords)} coordinates", node)
-            return coords[node.index - 1]
-        if isinstance(node, Unary):
-            if node.op != "neg":
-                raise ExprError(f"{node.op} has no exact rational value")
-            return -run(node.arg)
-        a = run(node.left)
-        if node.op == "pow":
-            q = node.right.value
-            if q.denominator != 1:
-                root = _rational_root(a, q)
-                if root is None:
-                    raise ExprError("fractional power has no exact rational value")
-                return root
-            if a == 0 and q < 0:
-                raise EvaluationError("zero base with negative exponent", node)
-            return a ** int(q)
-        b = run(node.right)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        if b == 0:
-            raise EvaluationError("division by zero", node)
-        return a / b
-
-    return run(e)
+    vals: list = []
+    for node in _postorder(e, enter=_rational_only):
+        vals.append(_exact_node(node, vals, coords))
+    return vals[0]
 
 
 # ---------------------------------------------------------------------------

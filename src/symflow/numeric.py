@@ -10,15 +10,19 @@ same compiled code serves single points and large Monte-Carlo batches.
 Domain faults (division by zero, log of a negative) surface as non-finite
 entries rather than exceptions; callers mask them.
 
-One emitter (`_Emitter`) writes every kernel as straight-line code with one
-common-subexpression temporary per distinct subterm, and folds subterms
-without variables into constants.  `compile_columns` returns the requested
-values (the RK4 and Newton kernels) and deletes each temporary after its
-last use, so a large batch holds only the live ones.  `compile_scaled`,
-behind every sampled zero test, also returns per row the largest
-|subterm|, which sets the relative tolerance, and a mask of the rows where
-every subterm is finite, which are the rows the tree walk `expr.evaluate`
-can evaluate.
+One emitter (`_Emitter`) records every kernel as a tape of numpy
+operations, one common-subexpression temporary per distinct subterm, and
+folds subterms without variables into constants.  `compile_columns`, for
+the RK4 and Newton kernels that run thousands of times, renders the tape as
+straight-line source and compiles it once; the kernel returns the requested
+values and deletes each temporary after its last use, so a large batch
+holds only the live ones.  `compile_scaled`, behind every sampled zero test,
+evaluates its expression once, so it runs the tape directly, with no source
+text and no `exec`: the same operators and numpy functions in the same
+order, so the same bits.  It also returns per row the largest |subterm|,
+which sets the relative tolerance, and a mask of the rows where every
+subterm is finite, which are the rows the tree walk `expr.evaluate` can
+evaluate.
 
 Every RK4 integration goes through `rk4_march`, which steps the columns of a
 batch together.  A row that leaves the guard bounds or turns non-finite is
@@ -30,6 +34,7 @@ equation is marched as an augmented column system (`variational_kernel`).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +42,8 @@ import numpy as np
 from .expr import Const, Expression, Unary, Var, const_float
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+# the Python operators behind _SYMBOLS, as the rendered source applies them
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 
 def _literal(v: float) -> str:
@@ -58,21 +64,29 @@ def _fold(op: str, q, a: float, b: float = 0.0) -> float:
             v = -a
         elif op == "pow":
             v = a ** int(q) if q.denominator == 1 else np.float_power(a, float(q))
-        elif op in _UFUNCS:
-            v = _UFUNCS[op](a, b)
+        elif op in _BINARY:
+            v = _BINARY[op](a, b)
         else:
             v = getattr(np, op)(a)
     return float(v)
 
 
 class _Emitter:
-    """Straight-line numpy code for expressions, one temporary per distinct
-    subterm that depends on a variable.
+    """A tape of numpy operations for expressions, one temporary per
+    distinct subterm that depends on a variable.
 
-    Subterms are hash-consed on (operator, operand texts), and a node already
-    emitted is found again by its id, so n nodes cost O(n): frozen nodes hash
-    recursively, and a dict keyed on the nodes themselves would cost
-    O(n * depth).  Subterms without variables are folded into constants
+    Each temporary is one tape entry (op, a, b): a coordinate column
+    ("col", index), a unary function, a power ("pow" for an integral
+    exponent, "float_power" for a fractional one, with b the exponent) or a
+    binary operator, whose operands are temporaries (by index) or float
+    constants.  `source` renders the tape as straight-line code and `run`
+    applies the same operators and numpy functions in the same order, so
+    both give the same bits.
+
+    Subterms are hash-consed on (operator, operands), and a node already
+    emitted is found again by its id, so n nodes cost O(n): a dict keyed on
+    the nodes themselves would compare equal but distinct subtrees node by
+    node.  Subterms without variables are folded into constants
     (`_fold`).  The traversal keeps its own stack and the code is flat, so a
     deep tree meets neither the recursion limit nor the parser's nesting
     limit.  `consts` holds the value of every constant subterm, leaves
@@ -80,21 +94,19 @@ class _Emitter:
     """
 
     def __init__(self):
-        self.lines: list = []  # "    t3 = t1*t2"
-        self.temps: list = []  # the temporaries, in order
-        self._reads: list = []  # per line, the temporaries it reads
+        self.tape: list = []
         self.consts: list = []
         self.nvars = 0
-        self._seen: dict = {}  # id(node) -> temporary name, or float if constant
-        self._keys: dict = {}  # (op, operand texts) -> temporary name
+        self._seen: dict = {}  # id(node) -> temporary index, or float if constant
+        self._keys: dict = {}  # (op, operand keys) -> temporary index
 
     @staticmethod
     def text(x) -> str:
-        return x if x.__class__ is str else _literal(x)
+        return f"t{x}" if x.__class__ is int else _literal(x)
 
     def emit(self, root: Expression):
         """Emit root and its subterms, operands before the nodes that use
-        them; returns root's temporary name, or its value if constant."""
+        them; returns root's temporary index, or its value if constant."""
         seen = self._seen
         stack = [(root, False)]
         while stack:
@@ -119,63 +131,90 @@ class _Emitter:
             return self._const(const_float(e.value))
         if cls is Var:
             self.nvars = max(self.nvars, e.index)
-            return self._temp(e.index, f"Z[{e.index - 1}]")
+            return self._temp(("col", e.index - 1, None))
         op = e.op
         if cls is Unary:
             a = self._seen[id(e.arg)]
             if a.__class__ is float:
                 return self._const(_fold(op, None, a))
-            if op == "neg":
-                return self._temp((op, a), f"-{a}", a)
-            return self._temp((op, a), f"_np.{op}({a})", a)
+            return self._temp((op, a, None))
         a = self._seen[id(e.left)]
         if op == "pow":
             q = e.right.value
             if a.__class__ is float:
                 return self._const(_fold(op, q, a))
             if q.denominator == 1:
-                return self._temp((op, q, a), f"{a}**{int(q)}", a)
-            return self._temp((op, q, a), f"_np.float_power({a}, {float(q)!r})", a)
+                return self._temp(("pow", a, int(q)))
+            return self._temp(("float_power", a, float(q)))
         b = self._seen[id(e.right)]
         if a.__class__ is float and b.__class__ is float:
             return self._const(_fold(op, None, a, b))
-        ta, tb = self.text(a), self.text(b)
-        return self._temp((op, ta, tb), f"{ta}{_SYMBOLS[op]}{tb}", a, b)
+        # a constant operand is keyed by its text: 0.0 and -0.0 differ
+        key = (op, a if a.__class__ is int else _literal(a), b if b.__class__ is int else _literal(b))
+        return self._temp((op, a, b), key)
 
     def _const(self, v: float) -> float:
         self.consts.append(v)
         return v
 
-    def _temp(self, key, code: str, *operands) -> str:
-        name = self._keys.get(key)
-        if name is None:
-            name = self._keys[key] = f"t{len(self.temps)}"
-            self.temps.append(name)
-            self.lines.append(f"    {name} = {code}\n")
-            self._reads.append([x for x in operands if x.__class__ is str])
-        return name
+    def _temp(self, entry: tuple, key=None) -> int:
+        key = entry if key is None else key
+        k = self._keys.get(key)
+        if k is None:
+            k = self._keys[key] = len(self.tape)
+            self.tape.append(entry)
+        return k
 
-    def function(self, returns: str, keep: set):
-        """Compile the lines into _f(Z) returning `returns`.  Every
+    def _code(self, entry: tuple) -> str:
+        op, a, b = entry
+        if op == "col":
+            return f"Z[{a}]"
+        if op == "neg":
+            return f"-t{a}"
+        if op == "pow":
+            return f"t{a}**{b}"
+        if op == "float_power":
+            return f"_np.float_power(t{a}, {b!r})"
+        if b is None:
+            return f"_np.{op}(t{a})"
+        return f"{self.text(a)}{_SYMBOLS[op]}{self.text(b)}"
+
+    def source(self, returns: str, keep: set) -> str:
+        """The tape as the body of _f(Z) returning `returns`.  Every
         temporary not in `keep`, the set of those returned, is deleted after
         its last use, so that a batch holds only the live ones, as a nested
         expression would."""
         last = {}
-        for i, reads in enumerate(self._reads):
-            for t in reads:
-                last[t] = i
+        for i, (op, a, b) in enumerate(self.tape):
+            if op != "col":
+                for x in (a, b) if op in _BINARY else (a,):
+                    if x.__class__ is int:
+                        last[x] = i
         dead: dict = {}
         for t, i in last.items():
             if t not in keep:
-                dead.setdefault(i, []).append(t)
-        body = "".join(line + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
-                       for i, line in enumerate(self.lines))
-        src = f"def _f(Z):\n{body}    return {returns}\n"
-        ns: dict = {"_np": np}
-        exec(src, ns)
-        fn = ns["_f"]
-        fn.source = src
-        return fn
+                dead.setdefault(i, []).append(f"t{t}")
+        body = "".join(f"    t{i} = {self._code(entry)}\n" + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
+                       for i, entry in enumerate(self.tape))
+        return f"def _f(Z):\n{body}    return {returns}\n"
+
+    def run(self, Z) -> list:
+        """Every temporary of the tape over the columns Z, in order."""
+        t: list = []
+        for op, a, b in self.tape:
+            if op == "col":
+                t.append(Z[a])
+            elif op in _BINARY:
+                t.append(_BINARY[op](t[a] if a.__class__ is int else a, t[b] if b.__class__ is int else b))
+            elif op == "pow":
+                t.append(t[a] ** b)
+            elif op == "neg":
+                t.append(-t[a])
+            elif op == "float_power":
+                t.append(np.float_power(t[a], b))
+            else:
+                t.append(getattr(np, op)(t[a]))
+        return t
 
 
 def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
@@ -183,8 +222,14 @@ def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
     Z[i] is the column of coordinate i + 1.  The kernel sets no error state:
     callers run it under np.errstate."""
     em = _Emitter()
-    outs = [em.text(em.emit(e)) for e in exprs]
-    return em.function(f"({''.join(o + ', ' for o in outs)})", keep=set(outs))
+    outs = [em.emit(e) for e in exprs]
+    keep = {o for o in outs if o.__class__ is int}
+    src = em.source(f"({''.join(em.text(o) + ', ' for o in outs)})", keep)
+    ns: dict = {"_np": np}
+    exec(src, ns)
+    fn = ns["_f"]
+    fn.source = src
+    return fn
 
 
 # rows per block of a scaled evaluation: a block holds every temporary of the
@@ -199,10 +244,10 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
     constants included, a pow exponent not) and whether every subterm is
     finite.  A row is ok exactly when the tree walk `expr.evaluate` raises
     no EvaluationError there; a variable beyond the n columns fails every
-    row.  Runs under its own np.errstate."""
+    row.  Runs the emitter's tape, with no generated code, under its own
+    np.errstate."""
     em = _Emitter()
-    value = em.text(em.emit(e))
-    kernel = em.function(f"{value}, ({''.join(t + ', ' for t in em.temps)})", keep=set(em.temps))
+    value = em.emit(e)
     consts = np.abs(np.array(em.consts, dtype=float))
     const_ok = bool(np.isfinite(consts).all())
     const_scale = float(consts.max(initial=0.0)) if const_ok else 0.0
@@ -212,13 +257,13 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
         rows = Z.shape[1]
         if em.nvars > Z.shape[0] or not const_ok:
             return np.full(rows, np.nan), np.zeros(rows), np.zeros(rows, dtype=bool)
-        if not em.temps:
-            return np.full(rows, float(kernel(Z)[0])), np.full(rows, const_scale), np.ones(rows, dtype=bool)
+        if not em.tape:
+            return np.full(rows, value), np.full(rows, const_scale), np.ones(rows, dtype=bool)
         values, scales = [], []
         with np.errstate(all="ignore"):
             for i in range(0, rows, SCALED_BLOCK_ROWS):
-                v, temps = kernel(Z[:, i : i + SCALED_BLOCK_ROWS])
-                values.append(v)
+                temps = em.run(Z[:, i : i + SCALED_BLOCK_ROWS])
+                values.append(temps[value])
                 scales.append(np.abs(np.array(temps)).max(axis=0))
         scale = np.maximum(np.concatenate(scales), const_scale)
         # max propagates NaN, so one non-finite subterm makes the scale so

@@ -278,6 +278,17 @@ class TestCleanExit:
             report = json.loads(captured.out)
             assert report["exit_code"] == result
 
+    def test_long_atom_argument_exits_cleanly(self, tmp_path, capsys):
+        # an atom's argument is a left-deep sum 1200 terms deep: hashing,
+        # comparing and evaluating it must not recurse
+        terms = " + ".join(f"{k}*x^{k}" for k in range(1, 1201))
+        spec = write(tmp_path, "long.spec", f"dim=2\nF1=y\nF2=-x + sin({terms})\nS1=x\nS2=-y\nbox=-1,1,-1,1\n")
+        result = main(["check", spec, "--kind", "reversibility", "--orders", "1"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert result in (0, 1)
+        assert json.loads(captured.out)["exit_code"] == result
+
     @pytest.mark.parametrize("text, code", [
         (LV_GOOD.replace("a=1", "a=1/0"), 2),
         (GENERIC.replace("box=-2,2,-2,2", "box=-2,1e999,-2,2"), 2),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symflow.expr import (
@@ -373,3 +373,255 @@ def test_polynomial_terms():
     assert ex.polynomial_terms(p2("x - x")) == {}
     assert ex.polynomial_terms(p2("x^(1/2)")) is None
     assert ex.polynomial_terms(p2("sin(x)")) is None
+
+
+# --- transcendental data in normal form: atoms over exact arguments ----------
+
+_FUNCS = ["sin", "cos", "exp", "log"]
+
+
+def atom_exprs(max_leaves=8):
+    """Trees whose normal forms hold atoms: sin/cos/exp/log of
+    laurent_exprs, alone, nested or under integer, negative and fractional
+    powers, joined with variables by + - * and negation."""
+    inner = laurent_exprs(max_leaves=4)
+    atoms = st.builds(Unary, st.sampled_from(_FUNCS), inner)
+    leaf = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Const),
+        st.integers(min_value=1, max_value=2).map(Var),
+        atoms,
+        st.builds(lambda a, q: Binary("pow", a, Const(q)), atoms, st.sampled_from(_POWERS)),
+    )
+    return st.recursive(
+        leaf,
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul"]), children, children),
+            st.builds(Unary, st.just("neg"), children),
+            st.builds(Unary, st.sampled_from(_FUNCS), children),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def _simplified(e):
+    """simplify(e), or a rejected example when e divides by a symbolic zero
+    (sin(0)^(-1), say)."""
+    try:
+        return simplify(e)
+    except ExprError:
+        assume(False)
+
+
+def _nodes(e):
+    """Every node of e, and of the atom arguments its remembered NF holds."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(ex._children(node))
+        for m in node._nf or ():
+            stack.extend(bk[2] for bk, _ in m if bk[0] == "f")
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the ExprError it raises (log(0) divides by zero in
+    its derivative, a map can vanish under a negative power)."""
+    try:
+        return fn(*args)
+    except ExprError as exc:
+        return ("ExprError", str(exc))
+
+
+class _Hashed:
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def dataclass_hash(e):
+    """The hash a frozen dataclass gives e: the hash of its fields' tuple."""
+    if isinstance(e, Const):
+        return hash((e.value,))
+    if isinstance(e, Var):
+        return hash((e.index,))
+    if isinstance(e, Unary):
+        return hash((e.op, _Hashed(dataclass_hash(e.arg))))
+    return hash((e.op, _Hashed(dataclass_hash(e.left)), _Hashed(dataclass_hash(e.right))))
+
+
+def dataclass_eq(a, b):
+    """Frozen-dataclass equality: the same class and equal fields."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Const):
+        return a.value == b.value
+    if isinstance(a, Var):
+        return a.index == b.index
+    if isinstance(a, Unary):
+        return a.op == b.op and dataclass_eq(a.arg, b.arg)
+    return a.op == b.op and dataclass_eq(a.left, b.left) and dataclass_eq(a.right, b.right)
+
+
+def rebuilt(e):
+    """A copy of e that shares no node with it."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.index)
+    if isinstance(e, Unary):
+        return Unary(e.op, rebuilt(e.arg))
+    return Binary(e.op, rebuilt(e.left), rebuilt(e.right))
+
+
+class TestAtomNormalForms:
+    def test_simplify_output_remembers_and_is_returned_without_a_walk(self):
+        s = simplify(p2("x*sin(x*y + 1)^2 - exp(-y)/cos(x) + log(x^2)"))
+        assert s._nf is not None and ex._to_nf(s) is s._nf
+        assert simplify(s) is s
+        assert not is_polynomial(s) and ex.max_var_index(s) == 2
+        atom_args = [bk[2] for m in s._nf for bk, _ in m if bk[0] == "f"]
+        assert atom_args and all(a._nf is not None for a in atom_args)
+
+    @given(atom_exprs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_remembered_nf_matches_a_fresh_walk(self, e):
+        s = _simplified(e)
+        fresh = parse(to_string(s), 2)  # a new tree: no node carries an NF
+        assert fresh == s
+        # remembered exactly when e's NF is exact: no opaque base at any depth
+        assert (s._nf is not None) == (not isinstance(s, Const) and ex._is_exact(ex._to_nf(e)))
+        if s._nf is not None:
+            assert s._nf == ex._to_nf(fresh)
+            assert ex._to_nf(s) is s._nf
+            assert is_polynomial(s) == is_polynomial(fresh)
+            assert ex.max_var_index(s) == ex.max_var_index(fresh)
+
+    @pytest.mark.parametrize("text, printed, again", [
+        ("sin(sqrt(x+1)*sqrt(x+1))", "sin(x + 1)", "sin(x + 1)"),
+        ("exp(1/(x+y))*x", "x*exp((x + y)^(-1))", "x*exp((x + y)^(-1))"),
+        ("cos(x)*sqrt(x+y)^2", "cos(x)*(x + y)", "x*cos(x) + y*cos(x)"),
+    ])
+    def test_opaque_base_at_any_depth_gets_no_cache(self, text, printed, again):
+        s = simplify(p2(text))
+        assert s._nf is None
+        assert to_string(s) == printed
+        assert to_string(simplify(s)) == again
+
+    @pytest.mark.parametrize("text, swapped, d_dx, along", [
+        # a negative atom power, and a sin argument whose sign flips under
+        # the swap (the printed forms are those of the tree path)
+        ("1/cos(x)", "cos(y)^(-1)", "sin(x)*cos(x)^(-2)", "y*sin(x)*cos(x)^(-2)"),
+        ("sin(x - y)", "-sin(x - y)", "cos(x - y)", "-(x*cos(x - y)) + y*cos(x - y)"),
+        ("x*cos(y - x)^2 + exp(-x)*log(x*y)", "y*cos(x - y)^2 + exp(-y)*log(x*y)",
+         "-2*x*sin(x - y)*cos(x - y) + cos(x - y)^2 - exp(-x)*log(x*y) + x^(-1)*exp(-x)",
+         "2*x^2*sin(x - y)*cos(x - y) - 2*x*y*sin(x - y)*cos(x - y) + y*cos(x - y)^2"
+         " - y*exp(-x)*log(x*y) + x*y^(-1)*exp(-x) + x^(-1)*y*exp(-x)"),
+    ])
+    def test_fixed_cases(self, text, swapped, d_dx, along):
+        s = simplify(p2(text))
+        sigma = [Var(2), Var(1)]
+        for got, want, tree in [
+            (compose(s, sigma), swapped, simplify(ex._subst(s, sigma))),
+            (differentiate(s, 1), d_dx, simplify(ex._d(s, 1))),
+            (ex.derivative_along(s, sigma), along, None),
+        ]:
+            assert to_string(got) == want
+            assert got._nf is not None and got._nf == ex._to_nf(parse(want, 2))
+            assert tree is None or got == tree
+
+    @given(atom_exprs(), st.integers(1, 2))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_differentiate_matches_tree_path(self, e, var):
+        s = _simplified(e)
+        for source in (e, s):
+            got = _outcome(differentiate, source, var)
+            assert got == _outcome(lambda: simplify(ex._d(source, var)))
+            if not isinstance(got, tuple) and got._nf is not None:
+                assert got._nf == ex._to_nf(parse(to_string(got), 2))
+
+    @given(atom_exprs(), st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+           poly_exprs(max_leaves=5), smooth_exprs(max_leaves=5))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_compose_matches_tree_path(self, e, signs, m1, m2):
+        s = _simplified(e)
+        swap = [Binary("mul", Const(signs[0]), Var(2)), Binary("mul", Const(signs[1]), Var(1))]
+        for maps in (swap, [m1, simplify(m2)], [simplify(m1), m2]):
+            for source in (e, s):
+                expected = _outcome(lambda: simplify(ex._subst(source, maps)))
+                assert _outcome(compose, source, maps) == expected
+
+    @given(atom_exprs(), smooth_exprs(max_leaves=6), poly_exprs(max_leaves=6))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_derivative_along_matches_tree_path(self, e, c1, c2):
+        s = _simplified(e)
+        expected = _outcome(lambda: simplify(Binary(
+            "add",
+            Binary("mul", simplify(ex._d(s, 1)), c1),
+            Binary("mul", simplify(ex._d(s, 2)), c2),
+        )))
+        assert _outcome(ex.derivative_along, s, [c1, c2]) == expected
+
+
+class TestCachedKeys:
+    @given(atom_exprs(), poly_exprs(max_leaves=5))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_cached_hashes_and_texts_are_never_stale(self, e, m):
+        s = _simplified(e)
+        results = [s, _outcome(differentiate, s, 1), _outcome(compose, s, [m, Var(1)]),
+                   _outcome(ex.derivative_along, s, [m, s])]
+        for r in (r for r in results if not isinstance(r, tuple)):
+            hash(r)
+            for node in _nodes(r):
+                assert node._hash is None or node._hash == dataclass_hash(node)
+                assert node._text is None or node._text == to_string(node)
+        # every atom's sort key reads its argument's text
+        for m_ in s._nf or ():
+            for bk, _ in m_:
+                if bk[0] == "f":
+                    assert ex._base_sort_key(bk)[2] == to_string(bk[2])
+
+    @given(smooth_exprs(), smooth_exprs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equality_and_hash_are_the_dataclass_ones(self, a, b):
+        c = rebuilt(a)
+        assert hash(a) == hash(c) == dataclass_hash(a)
+        assert a == c and not (a != c)
+        assert (a == b) == dataclass_eq(a, b) and (a != b) == (not dataclass_eq(a, b))
+        assert (a == b) == (b == a)
+        assert a != to_string(a) and not (a == 0)
+
+
+class TestLongTrees:
+    N = 3000  # three times the default recursion limit
+
+    def chain(self, bump=0):
+        return simplify(parse(" + ".join(f"{k + bump * (k == 7)}*x^{k}" for k in range(1, self.N + 1)), 1))
+
+    def test_equality_and_hash(self):
+        s = self.chain()
+        t = parse(to_string(s), 1)  # a fresh tree of the same shape
+        assert s == t and not (s != t) and hash(s) == hash(t)
+        u = self.chain(bump=1)
+        assert s != u and not (s == u)
+
+    def test_evaluate(self):
+        s = self.chain()
+        n = self.N
+        assert evaluate(s, (1.0,)) == n * (n + 1) / 2
+        assert evaluate(s, (-1.0,)) == n / 2  # -1 + 2 - 3 + ... + n, n even
+        assert evaluate_exact(s, (1,)) == n * (n + 1) // 2
+        assert evaluate_exact(s, (Fraction(-1),)) == n // 2
+
+    def test_errors_name_the_first_failing_subtree(self):
+        # evaluation keeps the recursive walk's order: left operand first,
+        # and an exact evaluation rejects a function before its argument
+        with pytest.raises(EvaluationError, match="log"):
+            evaluate(p2("log(x) + 1/y"), (-1.0, 0.0))
+        with pytest.raises(EvaluationError, match="division"):
+            evaluate(p2("1/y + log(x)"), (-1.0, 0.0))
+        with pytest.raises(ExprError, match="sin has no exact"):
+            evaluate_exact(p1("sin(1/x)"), (0,))
+        with pytest.raises(EvaluationError, match="division"):
+            evaluate_exact(p1("1/x + sin(x)"), (0,))

@@ -225,3 +225,35 @@ def test_column_kernels_free_dead_temporaries():
     returned = src.splitlines()[-1]
     kept = [t for t in assigned if t in returned.replace("(", " ").replace(",", " ").split()]
     assert sorted(deleted) == sorted(set(assigned) - set(kept)) and len(kept) == 2
+
+
+@given(trees())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tape_matches_the_rendered_kernel_bit_for_bit(e):
+    # compile_scaled runs the emitter's tape; compile_columns renders the
+    # same tape as source: the same operations in the same order
+    value, _, ok = compile_scaled(e)(POINTS.T)
+    if not ok.any() and np.isnan(value).all():
+        return  # a non-finite constant: every row fails unevaluated
+    with np.errstate(all="ignore"):
+        (col,) = compile_columns([e])(POINTS.T)
+    col = np.broadcast_to(np.asarray(col, dtype=float), value.shape)
+    assert (np.isfinite(value) == np.isfinite(col)).all()
+    assert value.tobytes() == col.tobytes()
+
+
+def test_sampled_zero_tests_generate_no_code(monkeypatch):
+    import builtins
+
+    def no_exec(*args, **kwargs):
+        raise AssertionError("exec called")
+
+    monkeypatch.setattr(builtins, "exec", no_exec)
+    box = DomainBox.cube(-1, 1, 2)
+    e = sub(Unary("sin", add(X, Y)), add(mul(Unary("sin", X), Unary("cos", Y)),
+                                         mul(Unary("cos", X), Unary("sin", Y))))
+    assert sampled_zero_verdict(e, box, trials=50).status is Status.HOLDS
+    assert identically_zero(Unary("exp", X), box, trials=50).status is Status.FAILS
+    with pytest.raises(AssertionError, match="exec"):
+        compile_columns([e])
