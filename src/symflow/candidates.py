@@ -21,7 +21,7 @@ from .checks import check_structural
 from .expr import Expression, identically_zero, to_string
 from .fields import SmoothMap, VectorField, is_involution, is_measure_preserving
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, damped_newton
+from .numeric import compile_components, compile_matrix, newton_batch, row_norms
 from .parser import parse
 from .tower import Selection, build_tower, delta_map, sign_matrix
 from .verdict import Certainty, CheckKind, Witness
@@ -51,7 +51,8 @@ class DeltaRoot:
 
 
 class _DeltaSolver:
-    """Compiled machinery for solving Delta(w) = S Delta(z)."""
+    """Compiled machinery for solving Delta(w) = S Delta(z), batched over
+    points."""
 
     def __init__(self, F: VectorField, selection: Selection, kind: CheckKind):
         tower = build_tower(F, selection.max_order)
@@ -60,12 +61,13 @@ class _DeltaSolver:
         self.field = F
         self.kind = kind
         self.delta = delta
-        self.fn = compile_components(delta.components)
+        self.fn = compile_components(delta.components, scalar_pow=True)
         self.jac = compile_matrix(
             [
                 [ex.differentiate(delta.components[i], j + 1) for j in range(n)]
                 for i in range(n)
-            ]
+            ],
+            scalar_pow=True,
         )
         self.signs = (
             sign_matrix(selection).as_array()
@@ -73,30 +75,51 @@ class _DeltaSolver:
             else np.ones(n)
         )
 
-    def singular_at(self, z: np.ndarray, tol: float = SINGULAR_TOL) -> bool:
-        J = self.jac(z)
-        scale = 1.0 + float(np.max(np.abs(J)))
+    def singular(self, Z: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
+        """Per point of Z (m, n): is |det J_Delta| below tol (1 + max |J|)?"""
+        J = self.jac(Z)
+        scale = 1.0 + np.abs(J).max(axis=(-2, -1))
         with np.errstate(all="ignore"):
-            det = float(np.linalg.det(J))
-        return abs(det) < tol * scale
+            det = np.linalg.det(J)
+        return np.abs(det) < tol * scale
 
-    def roots(self, z: np.ndarray, seeds: np.ndarray, newton_tol: float = NEWTON_TOL) -> List[DeltaRoot]:
-        target = self.signs * self.fn(z)
+    def solve(self, Z: np.ndarray, seeds: np.ndarray, newton_tol: float = NEWTON_TOL) -> List[List[DeltaRoot]]:
+        """Per point z of Z (m, n), the roots of Delta(w) = S Delta(z) that
+        Newton reaches from the seeds and from z, all in one batched solve.
+        A point's roots are its converged rows in seed order, less those
+        within TRIVIAL_TOL of a root already kept, sorted by coordinates."""
+        m, n = Z.shape
+        k = len(seeds) + 1
+        starts = np.empty((m, k, n))
+        starts[:, :-1] = seeds
+        starts[:, -1] = Z
+        targets = np.repeat(self.signs * self.fn(Z), k, axis=0)
+        W, ok, r = newton_batch(self.fn, self.jac, starts.reshape(m * k, n), targets,
+                                tol=newton_tol, max_iter=NEWTON_MAX_ITER)
+        ok &= r < newton_tol
+        W, ok, r = W.reshape(m, k, n), ok.reshape(m, k), r.reshape(m, k)
+        trivial = row_norms(W - Z[:, None, :]) < TRIVIAL_TOL
+        out = []
+        for i in range(m):
+            rows = np.flatnonzero(ok[i])
+            Wi = W[i, rows]
+            near = (row_norms(Wi[:, None, :] - Wi[None, :, :]) < TRIVIAL_TOL).tolist()
+            kept: List[int] = []
+            for a in range(len(rows)):
+                if not any(near[a][b] for b in kept):
+                    kept.append(a)
+            found = [DeltaRoot(as_point(Wi[a]), float(r[i, rows[a]]), bool(trivial[i, rows[a]])) for a in kept]
+            found.sort(key=lambda root: root.point)
+            out.append(found)
+        return out
 
-        def residual(w):
-            return self.fn(w) - target
-
-        found: List[DeltaRoot] = []
-        for seed in seeds:
-            w, ok, r = damped_newton(residual, self.jac, seed, tol=newton_tol, max_iter=NEWTON_MAX_ITER)
-            if not ok or r >= newton_tol:
-                continue
-            if any(np.linalg.norm(w - np.asarray(root.point)) < TRIVIAL_TOL for root in found):
-                continue
-            trivial = bool(np.linalg.norm(w - z) < TRIVIAL_TOL)
-            found.append(DeltaRoot(as_point(w), float(r), trivial))
-        found.sort(key=lambda root: root.point)
-        return found
+    def consistent(self, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Per pair of rows (z, w): does Newton for Delta(u) = S Delta(w),
+        started at z, converge to within CONSISTENCY_TOL of z?  An
+        involution that sends z to w sends w back to z."""
+        U, ok, _ = newton_batch(self.fn, self.jac, Z, self.signs * self.fn(W),
+                                tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
+        return ok & (row_norms(U - Z) < CONSISTENCY_TOL)
 
 
 def candidate_from_delta(
@@ -115,13 +138,12 @@ def candidate_from_delta(
     """
     box = box or F.domain
     solver = _DeltaSolver(F, selection, kind)
-    z = np.asarray(z, dtype=float)
-    if solver.singular_at(z):
-        raise SingularDeltaError(f"Delta is singular at {as_point(z)}")
-    seeds = np.vstack([box.grid(multistart), z[None, :]])
-    roots = solver.roots(z, seeds, newton_tol)
+    z = np.asarray(z, dtype=float)[None, :]
+    if solver.singular(z)[0]:
+        raise SingularDeltaError(f"Delta is singular at {as_point(z[0])}")
+    roots = solver.solve(z, box.grid(multistart), newton_tol)[0]
     if not roots:
-        raise SingularDeltaError(f"no roots converged at {as_point(z)}")
+        raise SingularDeltaError(f"no roots converged at {as_point(z[0])}")
     return roots
 
 
@@ -162,19 +184,24 @@ def candidate_map_table(
 ) -> CandidatePointMap:
     """Recover the candidate map on a grid.
 
-    Per grid point the root branch is selected by (1) dropping the trivial
-    identity branch for symmetries, (2) requiring involution consistency
-    (applying the recovered map twice returns to the start within 1e-6), and
-    (3) nearest-branch continuation outward from the anchor point.  Branch
-    switches are counted; too many inconsistent points yield an inconclusive
-    table.
+    The Newton work is batched: one solve gives every non-singular grid
+    point its roots from the multistart seeds and the point itself, and a
+    second solve checks involution consistency for every (point, root)
+    pair: Newton for Delta(u) = S Delta(w) started at z must return to z
+    within 1e-6.  Then a sequential pass, outward from the anchor point,
+    selects each point's root branch: (1) the trivial identity branch is
+    dropped for symmetries, and (2) among the consistent roots, the one
+    nearest the image at the closest point already assigned (nearest-branch
+    continuation) is taken.  Branch switches are counted; too many
+    inconsistent points yield an inconclusive table.
     """
     box = box or F.domain
     solver = _DeltaSolver(F, selection, kind)
     pts = box.grid(list(grid))
     anchor_pt = np.asarray(anchor if anchor is not None else box.center(), dtype=float)
+    if anchor_pt.shape != (box.dimension,):
+        raise ValueError(f"anchor needs {box.dimension} coordinates, got {anchor_pt.size}")
     order = np.argsort(np.linalg.norm(pts - anchor_pt, axis=1))
-    seeds = box.grid(multistart)
 
     spacing = max(
         (hi - lo) / max(k - 1, 1) for (lo, hi), k in zip(box.intervals, grid)
@@ -189,23 +216,37 @@ def candidate_map_table(
         "trivial_only": 0,
         "branch_switches": 0,
     }
+
+    singular = solver.singular(pts)
+    regular = np.flatnonzero(~singular)
+    roots_at = dict(zip(regular.tolist(), solver.solve(pts[regular], box.grid(multistart), newton_tol)))
+    if kind is CheckKind.SYMMETRY:
+        # None marks a point where only the trivial root converged
+        for idx, roots in roots_at.items():
+            nontrivial = [r for r in roots if not r.trivial]
+            roots_at[idx] = None if roots and not nontrivial else nontrivial
+    pairs = [(idx, root) for idx, roots in roots_at.items() for root in roots or ()]
+    flags = solver.consistent(
+        pts[np.array([idx for idx, _ in pairs], dtype=int)],
+        np.array([root.point for _, root in pairs], dtype=float).reshape(-1, box.dimension),
+    ).tolist()
+    options: dict = {idx: [] for idx in roots_at}
+    for (idx, root), ok in zip(pairs, flags):
+        options[idx].append((root, ok))
+
     assigned: dict = {}
     branches: dict = {}
     next_branch = 0
 
     for idx in order:
         z = pts[idx]
-        if solver.singular_at(z):
+        if singular[idx]:
             stats["singular_filtered"] += 1
             continue
-        roots = solver.roots(z, np.vstack([seeds, z[None, :]]), newton_tol)
-        if kind is CheckKind.SYMMETRY:
-            nontrivial = [r for r in roots if not r.trivial]
-            if roots and not nontrivial:
-                stats["trivial_only"] += 1
-                continue
-            roots = nontrivial
-        if not roots:
+        if roots_at[idx] is None:
+            stats["trivial_only"] += 1
+            continue
+        if not options[idx]:
             stats["unconverged"] += 1
             continue
 
@@ -217,13 +258,8 @@ def candidate_map_table(
         ref_value = (
             np.asarray(assigned[ref_idx].image) if ref_idx is not None else z
         )
-        roots = sorted(roots, key=lambda r: float(np.linalg.norm(np.asarray(r.point) - ref_value)))
-
-        chosen = None
-        for root in roots:
-            if _involution_consistent(solver, z, np.asarray(root.point)):
-                chosen = root
-                break
+        ranked = sorted(options[idx], key=lambda ro: float(np.linalg.norm(np.asarray(ro[0].point) - ref_value)))
+        chosen = next((root for root, ok in ranked if ok), None)
         if chosen is None:
             stats["inconsistent"] += 1
             continue
@@ -254,16 +290,6 @@ def candidate_map_table(
     else:
         status = "ok"
     return CandidatePointMap(selection, kind, entries, stats, status)
-
-
-def _involution_consistent(solver: _DeltaSolver, z: np.ndarray, w: np.ndarray) -> bool:
-    target = solver.signs * solver.fn(w)
-
-    def residual(u):
-        return solver.fn(u) - target
-
-    u, ok, r = damped_newton(residual, solver.jac, z, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
-    return ok and float(np.linalg.norm(u - z)) < CONSISTENCY_TOL
 
 
 def fit_affine_candidate(cmap: CandidatePointMap, domain: DomainBox):

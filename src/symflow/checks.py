@@ -26,7 +26,7 @@ from .expr import (
 )
 from .fields import JacobianMatrix, SmoothMap, VectorField, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, compile_scalar, damped_newton
+from .numeric import compile_components, compile_matrix, compile_scalar, newton_batch
 from .tower import DivergenceTower, Selection, build_tower, delta_map
 from .verdict import Certainty, CheckKind, Status, Verdict, combine
 
@@ -266,7 +266,7 @@ def fixed_points(
         return FixedSet(pts, particular, basis, cube)
 
     fn = compile_components(
-        [ex.sub(c, ex.Var(i + 1)) for i, c in enumerate(sigma.components)]
+        [ex.sub(c, ex.Var(i + 1)) for i, c in enumerate(sigma.components)], scalar_pow=True
     )
     entries = jacobian(sigma).entries
     jac_minus_id = [
@@ -276,12 +276,10 @@ def fixed_points(
         ]
         for i in range(n)
     ]
-    jac_fn = compile_matrix(jac_minus_id)
+    jac_fn = compile_matrix(jac_minus_id, scalar_pow=True)
+    X, ok, r = newton_batch(fn, jac_fn, box.grid(seeds_per_axis), tol=FIXED_POINT_TOL, max_iter=60)
     pts: List[Point] = []
-    for seed in box.grid(seeds_per_axis):
-        x, ok, r = damped_newton(fn, jac_fn, seed, tol=FIXED_POINT_TOL, max_iter=60)
-        if not ok or r >= FIXED_POINT_TOL:
-            continue
+    for x in X[ok & (r < FIXED_POINT_TOL)]:
         if not box.contains(x, slack=1e-9):
             continue
         if any(np.linalg.norm(x - np.asarray(q)) < 1e-6 for q in pts):

@@ -332,6 +332,8 @@ def cmd_candidates(args) -> int:
             anchor = [float(Fraction(s)) for s in args.anchor.split(",")]
         except ValueError as exc:
             raise SpecError(f"bad anchor: {exc}") from exc
+        if len(anchor) != spec.dimension:
+            raise SpecError(f"anchor needs {spec.dimension} coordinates")
 
     cmap = candidate_map_table(
         spec.field, selection, kind, grid=grid, anchor=anchor, multistart=args.multistart

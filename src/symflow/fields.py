@@ -12,7 +12,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expression, identically_zero, to_string
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, damped_newton
+from .numeric import compile_components, compile_matrix, newton_batch, row_norms, solve_rows
 from .verdict import Certainty, Status, Verdict, combine
 
 logger = logging.getLogger(__name__)
@@ -204,50 +204,52 @@ def find_critical_points(
     """Newton root inventory of F(z) = 0 inside the domain box.
 
     Seeds on a uniform grid (endpoints included), damped Newton with step
-    halving, duplicates merged, roots outside the box discarded.  The
+    halving on every seed at once, converged roots polished, then in seed
+    order duplicates merged and roots outside the box discarded.  The
     non-convergence count is logged; an empty list is a valid result.
     """
-    f = compile_components(F.components)
-    jac_fn = compile_matrix(jacobian(F).entries)
+    f = compile_components(F.components, scalar_pow=True)
+    jac_fn = compile_matrix(jacobian(F).entries, scalar_pow=True)
     seeds = F.domain.grid(seeds_per_axis)
     blob_radius = 1e-2 * float(np.linalg.norm(F.domain.highs - F.domain.lows))
+    X, ok, r = newton_batch(f, jac_fn, seeds, tol=residual_tol, max_iter=NEWTON_MAX_ITER)
+    ok &= r < residual_tol
     roots: list = []
-    failures = 0
-    for seed in seeds:
-        x, ok, r = damped_newton(f, jac_fn, seed, tol=residual_tol, max_iter=NEWTON_MAX_ITER)
-        if not ok or r >= residual_tol:
-            failures += 1
-            continue
-        x = _polish_root(f, jac_fn, x)
+    for x in _polish_roots(f, jac_fn, X[ok]):
         if not F.domain.contains(x, slack=1e-9):
             continue
         if _is_duplicate(f, x, roots, dedup_tol, blob_radius, residual_tol):
             continue
         roots.append(as_point(x))
+    failures = int((~ok).sum())
     if failures:
         logger.debug("find_critical_points: %d/%d seeds did not converge", failures, len(seeds))
     roots.sort()
     return roots
 
 
-def _polish_root(f, jac_fn, x, max_iter=80, step_tol=1e-13):
-    """Full Newton steps past the residual tolerance; degenerate roots
-    converge only linearly, so the first residual-based stop leaves a blob."""
-    for _ in range(max_iter):
-        fx = f(x)
-        J = jac_fn(x)
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
-            return x
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            return x
-        if not np.all(np.isfinite(step)):
-            return x
-        x = x + step
-        if np.linalg.norm(step) < step_tol:
-            break
-    return x
+def _polish_roots(f, jac_fn, X, max_iter=80, step_tol=1e-13):
+    """Full Newton steps past the residual tolerance, on every row of X;
+    degenerate roots converge only linearly, so the first residual-based
+    stop leaves a blob.  A row stops once its step is shorter than
+    step_tol (after taking it), or before a step when its residual, its
+    Jacobian or the step is non-finite or its Jacobian is singular."""
+    X = np.array(X, dtype=float)
+    live = np.arange(len(X))
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not len(live):
+                break
+            fx = f(X[live])
+            J = jac_fn(X[live])
+            finite = np.isfinite(fx).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            live, fx, J = live[finite], fx[finite], J[finite]
+            step, solved = solve_rows(J, -fx)
+            solved &= np.isfinite(step).all(axis=1)
+            live, step = live[solved], step[solved]
+            X[live] = X[live] + step
+            live = live[row_norms(step) >= step_tol]
+    return X
 
 
 def _is_duplicate(f, x, roots, dedup_tol, blob_radius, residual_tol):

@@ -29,12 +29,29 @@ batch together.  A row that leaves the guard bounds or turns non-finite is
 masked at its own step; the arithmetic is elementwise, so a row's states are
 the same bits whether it is marched alone or in a batch.  The variational
 equation is marched as an augmented column system (`variational_kernel`).
+
+Every Newton solve goes through `newton_batch`, damped Newton on the rows of
+a seed array at once.  Each row keeps its own residual target (the
+right-hand side it solves for), its own step length and its own stop: its
+residual is below tol, its start or its Jacobian is non-finite, its
+Jacobian is singular, its line search finds no decrease down to a step of
+2**-12, or it has used max_iter iterations.  A row's iterates are the same
+bits a single-point solve gives it, because every operation is elementwise
+or per row: the row norms take the same dot product `np.linalg.norm` takes,
+the stacked `np.linalg.solve` runs the same LAPACK solve per matrix, and
+the kernels are compiled with `scalar_pow`, so an integer power takes the
+C library's pow, as a numpy scalar does, rather than numpy's vectorised
+power, which differs from it in the last bit on some CPUs.  A stacked solve
+raises for the whole stack when one matrix is singular; that iteration then
+solves row by row, and only the singular rows stop.  A long batch runs in
+blocks of BLOCK_ROWS rows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -165,25 +182,25 @@ class _Emitter:
             self.tape.append(entry)
         return k
 
-    def _code(self, entry: tuple) -> str:
+    def _code(self, entry: tuple, scalar_pow: bool) -> str:
         op, a, b = entry
         if op == "col":
             return f"Z[{a}]"
         if op == "neg":
             return f"-t{a}"
         if op == "pow":
-            return f"t{a}**{b}"
+            return f"_pow(t{a}, {b})" if scalar_pow else f"t{a}**{b}"
         if op == "float_power":
             return f"_np.float_power(t{a}, {b!r})"
         if b is None:
             return f"_np.{op}(t{a})"
         return f"{self.text(a)}{_SYMBOLS[op]}{self.text(b)}"
 
-    def source(self, returns: str, keep: set) -> str:
+    def source(self, returns: str, keep: set, scalar_pow: bool = False) -> str:
         """The tape as the body of _f(Z) returning `returns`.  Every
         temporary not in `keep`, the set of those returned, is deleted after
         its last use, so that a batch holds only the live ones, as a nested
-        expression would."""
+        expression would.  With scalar_pow, integer powers call `_pow`."""
         last = {}
         for i, (op, a, b) in enumerate(self.tape):
             if op != "col":
@@ -194,7 +211,7 @@ class _Emitter:
         for t, i in last.items():
             if t not in keep:
                 dead.setdefault(i, []).append(f"t{t}")
-        body = "".join(f"    t{i} = {self._code(entry)}\n" + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
+        body = "".join(f"    t{i} = {self._code(entry, scalar_pow)}\n" + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
                        for i, entry in enumerate(self.tape))
         return f"def _f(Z):\n{body}    return {returns}\n"
 
@@ -217,15 +234,33 @@ class _Emitter:
         return t
 
 
-def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
+def _scalar_pow(x, k: int):
+    """x ** k with the bits a numpy scalar gets: the C library's pow, row
+    by row, where numpy's vectorised power may differ in the last bit."""
+    if x.__class__ is not np.ndarray:
+        return x ** k
+    flat = x.ravel().tolist()
+    try:
+        out = np.fromiter(map(math.pow, flat, repeat(float(k))), float, len(flat))
+    except (OverflowError, ValueError):
+        # math.pow raises where pow overflows or divides by zero; a numpy
+        # scalar gives inf there instead
+        out = np.array([np.float64(v) ** k for v in flat], dtype=float)
+    return out.reshape(x.shape)
+
+
+def compile_columns(exprs: Sequence[Expression], scalar_pow: bool = False) -> Callable[[Sequence], tuple]:
     """Compile expressions into a column kernel f(Z) -> (e_1, ..., e_k), where
-    Z[i] is the column of coordinate i + 1.  The kernel sets no error state:
-    callers run it under np.errstate."""
+    Z[i] is the column of coordinate i + 1.  With scalar_pow, an integer
+    power of a column takes each row through the C library's pow
+    (`_scalar_pow`), so a row of a batch gets the bits of a single point;
+    the Newton kernels need that.  The kernel sets no error state: callers
+    run it under np.errstate."""
     em = _Emitter()
     outs = [em.emit(e) for e in exprs]
     keep = {o for o in outs if o.__class__ is int}
-    src = em.source(f"({''.join(em.text(o) + ', ' for o in outs)})", keep)
-    ns: dict = {"_np": np}
+    src = em.source(f"({''.join(em.text(o) + ', ' for o in outs)})", keep, scalar_pow)
+    ns: dict = {"_np": np, "_pow": _scalar_pow}
     exec(src, ns)
     fn = ns["_f"]
     fn.source = src
@@ -272,10 +307,11 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
     return run
 
 
-def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np.ndarray]:
+def compile_components(exprs: Sequence[Expression], scalar_pow: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k).
-    The column kernel is kept as `f.columns`."""
-    kernel = compile_columns(exprs)
+    The column kernel is kept as `f.columns`; scalar_pow as in
+    compile_columns."""
+    kernel = compile_columns(exprs, scalar_pow)
 
     def run(Z):
         Z = np.asarray(Z, dtype=float)
@@ -289,13 +325,14 @@ def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np
     return run
 
 
-def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndarray], np.ndarray]:
+def compile_matrix(entries: Sequence[Sequence[Expression]], scalar_pow: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Compile a grid of expressions into f(Z) -> (..., rows, cols).  The
-    column kernel of the row-major entries is kept as `f.columns`."""
+    column kernel of the row-major entries is kept as `f.columns`;
+    scalar_pow as in compile_columns."""
     rows = len(entries)
     cols = len(entries[0])
     flat = [e for row in entries for e in row]
-    fn = compile_components(flat)
+    fn = compile_components(flat, scalar_pow)
 
     def run(Z: np.ndarray) -> np.ndarray:
         vals = fn(Z)
@@ -455,48 +492,107 @@ def rk4_variational(
 
 
 # ---------------------------------------------------------------------------
-# damped Newton iteration
+# damped Newton: one batched solver over rows
 # ---------------------------------------------------------------------------
 
 
-def damped_newton(
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of v (..., n), the same bits
+    `np.linalg.norm` gives that row alone: both take BLAS's dot product of
+    a contiguous row (a sum of squares would round differently)."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt(np.vecdot(v, v))
+
+
+def solve_rows(J: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve J[i] x[i] = b[i] for every row; returns (x, solved).  A stacked
+    solve raises when one matrix is singular, so then every row is solved
+    alone and only the singular ones are marked unsolved."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        solved = np.ones(len(b), dtype=bool)
+        for i in range(len(b)):
+            try:
+                x[i] = np.linalg.solve(J[i], b[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return x, solved
+
+
+def newton_batch(
     f: Callable,
     jac: Callable,
-    x0: Sequence[float],
+    seeds: np.ndarray,
+    target: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> tuple:
-    """Newton with step halving on the residual norm.
+    """Damped Newton on every row of seeds (N, n) at once: row i solves
+    f(x) = target[i] (0 without a target) from seeds[i], with f and jac
+    taking rows (m, n) to (m, n) and (m, n, n).
 
-    Returns (x, converged, residual_norm).  Singular Jacobians or stalled
-    line searches end the iteration with converged=False.
+    Per row: stop, converged, once the residual norm is below tol; stop,
+    not converged, on a non-finite start (residual inf), a non-finite or
+    singular Jacobian, or a line search that halves the step down to 2**-12
+    without lowering the residual norm; after max_iter iterations, a row is
+    converged if its residual norm is below tol.  Returns (x, converged,
+    residual) with the rows' last iterates and residual norms.  Runs in
+    blocks of BLOCK_ROWS rows, under np.errstate(all="ignore").
     """
-    x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
-    if not np.all(np.isfinite(fx)):
-        return x, False, float("inf")
-    for _ in range(max_iter):
-        r = float(np.linalg.norm(fx))
-        if r < tol:
-            return x, True, r
-        J = jac(x)
-        if not np.all(np.isfinite(J)):
-            return x, False, r
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            return x, False, r
-        lam = 1.0
-        improved = False
-        while lam >= 2.0**-12:
-            xn = x + lam * step
-            fn = f(xn)
-            if np.all(np.isfinite(fn)) and np.linalg.norm(fn) < r:
-                x, fx = xn, fn
-                improved = True
+    x = np.array(seeds, dtype=float)
+    if target is not None:
+        target = np.asarray(target, dtype=float)
+    rows = len(x)
+    if rows > BLOCK_ROWS:
+        blocks = [
+            newton_batch(f, jac, x[i : i + BLOCK_ROWS],
+                         None if target is None else target[i : i + BLOCK_ROWS], tol, max_iter)
+            for i in range(0, rows, BLOCK_ROWS)
+        ]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
+    r = np.full(rows, np.inf)
+    converged = np.zeros(rows, dtype=bool)
+    if rows == 0:
+        return x, converged, r
+
+    def residual(X, at):
+        return f(X) if target is None else f(X) - target[at]
+
+    with np.errstate(all="ignore"):
+        fx = residual(x, slice(None))
+        live = np.flatnonzero(np.isfinite(fx).all(axis=1))
+        r[live] = row_norms(fx[live])
+        for _ in range(max_iter):
+            done = r[live] < tol
+            converged[live[done]] = True
+            live = live[~done]
+            if not len(live):
                 break
-            lam *= 0.5
-        if not improved:
-            return x, r < tol, r
-    r = float(np.linalg.norm(fx))
-    return x, r < tol, r
+            J = jac(x[live])
+            finite = np.isfinite(J).all(axis=(1, 2))
+            live, J = live[finite], J[finite]
+            step, solved = solve_rows(J, -fx[live])
+            live, step = live[solved], step[solved]
+            # line search: rows still searching, by position in live
+            lam = np.ones(len(live))
+            improved = np.zeros(len(live), dtype=bool)
+            searching = np.arange(len(live))
+            while len(searching):
+                at = live[searching]
+                xn = x[at] + lam[searching, None] * step[searching]
+                fn = residual(xn, at)
+                finite = np.isfinite(fn).all(axis=1)
+                rn = np.full(len(at), np.inf)
+                rn[finite] = row_norms(fn[finite])
+                better = finite & (rn < r[at])
+                moved = at[better]
+                x[moved], fx[moved], r[moved] = xn[better], fn[better], rn[better]
+                improved[searching[better]] = True
+                searching = searching[~better]
+                lam[searching] *= 0.5
+                searching = searching[lam[searching] >= 2.0**-12]
+            live = live[improved]
+        converged[live] = r[live] < tol
+    return x, converged, r

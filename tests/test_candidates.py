@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from newton_reference import newton_rows, polish_root
 
+from symflow import candidates, checks, fields
 from symflow.candidates import (
     EXISTS,
     HYPOTHESES_VIOLATED,
@@ -19,9 +21,9 @@ from symflow.candidates import (
     fit_affine_candidate,
     lotka_volterra_field,
 )
-from symflow.checks import check_structural
+from symflow.checks import check_structural, fixed_points
 from symflow.expr import to_string
-from symflow.fields import VectorField, is_involution, is_measure_preserving
+from symflow.fields import SmoothMap, VectorField, find_critical_points, is_involution, is_measure_preserving
 from symflow.geometry import DomainBox
 from symflow.parser import parse
 from symflow.tower import default_selection
@@ -103,6 +105,14 @@ class TestCandidateMapTable:
         assert [to_string(c) for c in sigma.components] == ["-x", "y"]
         assert check_structural(F, sigma, CheckKind.REVERSIBILITY).failed
 
+    def test_inconsistent_nearest_root_yields_to_a_consistent_one(self):
+        # with a loose root tolerance the consistency solve rejects the
+        # nearest root at some points; the next consistent root is taken
+        F = lotka_volterra_field(1, 1, 1, 1, DomainBox.cube(-1, 4, 2))
+        cmap = candidate_map_table(F, default_selection(2), CheckKind.REVERSIBILITY, grid=(6, 6), newton_tol=1e-2)
+        assert cmap.status == "ok" and cmap.stats["inconsistent"] == 0
+        assert len(cmap.entries) == cmap.stats["grid_points"] - cmap.stats["singular_filtered"] == 32
+
     def test_symmetry_only_trivial_branch(self):
         F = field2("y + x^2", "-x - x^2")
         cmap = candidate_map_table(F, default_selection(2), CheckKind.SYMMETRY, grid=(8, 8))
@@ -120,6 +130,53 @@ class TestCandidateMapTable:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "z1,z2,sigma1,sigma2,branch,residual"
         assert len(lines) == len(cmap.entries) + 1
+
+
+class TestBatchedNewtonEndToEnd:
+    """Every Newton driver gives the same results with the batched solver
+    as with the scalar reference run one seed at a time."""
+
+    @staticmethod
+    def scalar(monkeypatch):
+        for module in (candidates, fields, checks):
+            monkeypatch.setattr(module, "newton_batch", newton_rows)
+        monkeypatch.setattr(
+            fields, "_polish_roots",
+            lambda f, jac_fn, X: np.array([polish_root(f, jac_fn, x) for x in X]).reshape(np.shape(X)),
+        )
+
+    @staticmethod
+    def results():
+        lv = lotka_volterra_field(1, 2, 3, 1, DomainBox.cube(-1, 8, 2))
+        quad = field2("y + x^2", "-x - x^2")
+        sym = lotka_volterra_field(1, 2, 3, -1, DomainBox.cube(0.2, 2.0, 2))
+        sel = default_selection(2)
+        rev, symm = CheckKind.REVERSIBILITY, CheckKind.SYMMETRY
+        tables = [
+            candidate_map_table(lv, sel, rev, grid=(8, 8)),
+            # a loose root tolerance leaves roots the consistency solve
+            # rejects, some ranked ahead of a consistent one
+            candidate_map_table(lotka_volterra_field(1, 2, 3, 1, DomainBox.cube(-1, 4, 2)), sel, rev,
+                                grid=(6, 6), newton_tol=1e-2),
+            candidate_map_table(quad, sel, rev, grid=(10, 10)),
+            candidate_map_table(quad, sel, symm, grid=(6, 6)),
+            candidate_map_table(sym, sel, symm, grid=(6, 6)),
+        ]
+        out = [(repr(t.entries), t.stats, t.status) for t in tables]
+        out.append(repr(candidate_from_delta(lv, sel, rev, (1.0, 0.4))))
+        out.append(repr(candidate_from_delta(quad, sel, rev, (0.5, -0.3))))
+        out.append(repr(candidate_from_delta(sym, sel, symm, (1.0, 0.7))))
+        for F in (lv, field2("x^3 - x", "y^2 - 1"), field2("x^2", "y"), field2("y - x^2", "x - y^2")):
+            out.append(repr(find_critical_points(F)))
+        for m in (SmoothMap([parse("y^3", 2), parse("x^(1/3)", 2)], DomainBox.cube(0.1, 2, 2)),
+                  SmoothMap([parse("x^2 - y + x", 2), parse("y^3", 2)], DomainBox.cube(-2, 2, 2))):
+            out.append(repr(fixed_points(m).points))
+        return out
+
+    def test_same_results_as_scalar_reference(self, monkeypatch):
+        batched = self.results()
+        self.scalar(monkeypatch)
+        assert self.results() == batched
 
 
 class TestClassifyLotkaVolterra:

@@ -223,6 +223,36 @@ class TestCandidatesCommand:
         assert report["checks"][0]["table"]["selection"] == [0, 1]
 
 
+    @pytest.mark.parametrize("anchor", ["3", "1,2,3"])
+    def test_anchor_of_wrong_length_is_usage_error(self, tmp_path, capsys, anchor):
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        code = main(["candidates", spec, "--kind", "reversibility", "--grid", "4x4",
+                     "--anchor", anchor, "--csv", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "symflow: anchor needs 2 coordinates\n"
+
+    def test_table_rejects_anchor_of_wrong_length(self):
+        from symflow.candidates import candidate_map_table, lotka_volterra_field
+        from symflow.geometry import DomainBox
+        from symflow.tower import default_selection
+        from symflow.verdict import CheckKind
+
+        F = lotka_volterra_field(1, 2, 3, 1, DomainBox.cube(-1, 8, 2))
+        with pytest.raises(ValueError, match="anchor needs 2 coordinates"):
+            candidate_map_table(F, default_selection(2), CheckKind.REVERSIBILITY, grid=(3, 3), anchor=(1.0,))
+
+    @pytest.mark.parametrize("extra, exit_code", [
+        (["--grid", "0x0"], 3),
+        (["--grid", "3x0"], 3),
+        (["--multistart", "0"], 0),
+    ])
+    def test_empty_batches_keep_their_exits(self, tmp_path, capsys, extra, exit_code):
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        code = main(["candidates", spec, "--kind", "reversibility", *extra, "--csv", str(tmp_path / "t.csv")])
+        assert code == exit_code
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
 

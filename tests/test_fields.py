@@ -22,6 +22,7 @@ from symflow.parser import parse
 from symflow.verdict import Certainty, Status
 
 from conftest import p2, poly_exprs
+from newton_reference import polish_root
 
 
 def field2(*texts, box=None):
@@ -212,3 +213,18 @@ class TestCriticalPoints:
         images = sorted(sigma.apply(r) for r in roots)
         for img, root in zip(images, roots):
             np.testing.assert_allclose(img, root, atol=1e-8)
+
+    def test_batched_polish_matches_one_root_at_a_time(self):
+        from symflow.fields import _polish_roots
+        from symflow.numeric import compile_components, compile_matrix
+
+        F = field2("x^2 + y^3", "sqrt(y) - x", box=DomainBox.cube(-2, 2, 2))
+        f = compile_components(F.components, scalar_pow=True)
+        jac = compile_matrix(jacobian(F).entries, scalar_pow=True)
+        # a degenerate root, a singular Jacobian at the origin, a non-finite
+        # residual (y < 0) and ordinary starts
+        X = np.array([[1e-4, 1e-8], [0.0, 0.0], [0.5, -1.0], [0.3, 0.2], [-0.7, 0.4]])
+        polished = _polish_roots(f, jac, X)
+        assert polished.tobytes() == np.array([polish_root(f, jac, x) for x in X]).tobytes()
+        assert np.array_equal(polished[1:3], X[1:3])
+

@@ -1,8 +1,14 @@
-"""The column kernels and the one RK4 marcher in symflow.numeric."""
+"""The column kernels, the one RK4 marcher and the one batched Newton solver
+in symflow.numeric."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from newton_reference import damped_newton, newton_rows
 
+from symflow import expr as ex
+from symflow import numeric
 from symflow.fields import VectorField, jacobian
 from symflow.flow import IntegratorConfig, integrate
 from symflow.geometry import DomainBox
@@ -10,6 +16,7 @@ from symflow.numeric import (
     compile_columns,
     compile_components,
     compile_matrix,
+    newton_batch,
     rk4_final,
     rk4_march,
     rk4_step,
@@ -214,3 +221,160 @@ def test_oracle_compiles_once_per_field(monkeypatch):
     again = [tower.tower_fd_oracle(F, (0.1, 0.2), j) for j in range(4)]
     assert calls == [] and first == again
     assert first[0] == pytest.approx(0.2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched Newton solver against the scalar reference, row by row
+# ---------------------------------------------------------------------------
+
+NAMES = "xyz"
+
+
+@st.composite
+def polynomial_systems(draw):
+    """A square polynomial system in 1-3 variables with integer powers up to
+    4, and its Jacobian, as expressions."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    comps = []
+    for _ in range(n):
+        terms = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+            powers = [draw(st.integers(min_value=0, max_value=4)) for _ in range(n)]
+            terms.append("*".join([str(c)] + [f"{NAMES[i]}^{k}" for i, k in enumerate(powers) if k]))
+        terms.append(str(draw(st.integers(min_value=-3, max_value=3))))
+        comps.append(parse(" + ".join(terms), n))
+    entries = [[ex.differentiate(c, j + 1) for j in range(n)] for c in comps]
+    return comps, entries
+
+
+def assert_same_rows(got, want):
+    """x, converged and residual equal bit for bit."""
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def kernels(comps, entries):
+    return compile_components(comps, scalar_pow=True), compile_matrix(entries, scalar_pow=True)
+
+
+class TestNewtonBatch:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(polynomial_systems(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_rows_match_scalar_reference(self, system, seed, with_target):
+        f, jac = kernels(*system)
+        n = len(system[0])
+        rng = np.random.default_rng(seed)
+        seeds = rng.uniform(-2, 2, (12, n))
+        target = rng.uniform(-1, 1, (12, n)) if with_target else None
+        assert_same_rows(newton_batch(f, jac, seeds, target, tol=1e-10, max_iter=40),
+                         newton_rows(f, jac, seeds, target, tol=1e-10, max_iter=40))
+
+    def test_non_finite_start(self):
+        f, jac = kernels([parse("log(x) - 1", 1)], [[parse("1/x", 1)]])
+        seeds = np.array([[-1.0], [np.nan], [2.0]])
+        x, ok, r = newton_batch(f, jac, seeds)
+        assert_same_rows((x, ok, r), newton_rows(f, jac, seeds))
+        assert list(ok) == [False, False, True] and np.isinf(r[:2]).all()
+        assert x[0, 0] == -1.0 and np.isnan(x[1, 0])
+
+    def test_non_finite_jacobian(self):
+        f, jac = kernels([parse("sqrt(x) - 1", 1)], [[parse("1/(2*sqrt(x))", 1)]])
+        seeds = np.array([[0.0], [4.0]])
+        x, ok, r = newton_batch(f, jac, seeds)
+        assert_same_rows((x, ok, r), newton_rows(f, jac, seeds))
+        assert list(ok) == [False, True] and x[0, 0] == 0.0 and r[0] == 1.0
+
+    def test_singular_row_falls_back_to_row_solves(self):
+        # at x = 0 the Jacobian [[2x, 0], [0, 1]] is exactly singular, so
+        # the stacked solve raises; the other rows still converge
+        comps = [parse("x^2 - 1", 2), parse("y - 1", 2)]
+        f, jac = kernels(comps, [[ex.differentiate(c, j) for j in (1, 2)] for c in comps])
+        seeds = np.array([[2.0, 0.0], [0.0, 3.0], [-3.0, 1.0], [0.5, 0.5]])
+        x, ok, r = newton_batch(f, jac, seeds)
+        assert_same_rows((x, ok, r), newton_rows(f, jac, seeds))
+        assert list(ok) == [True, False, True, True]
+        assert np.array_equal(x[1], seeds[1]) and r[1] > 1.0
+
+    def test_stalled_line_search(self):
+        # a Jacobian of the wrong sign points every step uphill
+        def f(X):
+            return X - 1.0
+
+        def jac(X):
+            return -np.ones(np.shape(X) + (1,))
+
+        seeds = np.array([[3.0], [1.0 + 1e-12], [-2.0]])
+        x, ok, r = newton_batch(f, jac, seeds)
+        assert_same_rows((x, ok, r), newton_rows(f, jac, seeds))
+        assert list(ok) == [False, True, False]
+        assert np.array_equal(x, seeds) and r[0] == 2.0
+
+    def test_max_iter_exhaustion(self):
+        # exp(x) = 0 has no root: every full step lowers the residual by e
+        def f(X):
+            return np.exp(X)
+
+        def jac(X):
+            return np.exp(X)[..., None]
+
+        seeds = np.array([[0.0], [1.0]])
+        for max_iter in (0, 1, 5):
+            x, ok, r = newton_batch(f, jac, seeds, max_iter=max_iter)
+            assert_same_rows((x, ok, r), newton_rows(f, jac, seeds, max_iter=max_iter))
+            assert not ok.any() and np.array_equal(x[:, 0], seeds[:, 0] - max_iter)
+
+    def test_converged_on_the_last_iteration(self):
+        def f(X):
+            return 2.0 * X - 1.0
+
+        def jac(X):
+            return np.full(np.shape(X) + (1,), 2.0)
+
+        seeds = np.array([[3.0], [0.5]])
+        x, ok, r = newton_batch(f, jac, seeds, max_iter=1)
+        assert_same_rows((x, ok, r), newton_rows(f, jac, seeds, max_iter=1))
+        assert ok.all() and np.all(x == 0.5)
+
+    def test_zero_rows(self):
+        f, jac = kernels([parse("x*y - 1", 2), parse("x - y", 2)],
+                         [[parse("y", 2), parse("x", 2)], [parse("1", 2), parse("-1", 2)]])
+        x, ok, r = newton_batch(f, jac, np.zeros((0, 2)), np.zeros((0, 2)))
+        assert x.shape == (0, 2) and ok.shape == (0,) and r.shape == (0,)
+        assert ok.dtype == bool and r.dtype == float
+
+    def test_blocks_of_a_long_batch_match_one_piece(self, monkeypatch):
+        comps = [parse("x^3 - 2*x*y + 1", 2), parse("y^2 - x - 1", 2)]
+        f, jac = kernels(comps, [[ex.differentiate(c, j) for j in (1, 2)] for c in comps])
+        seeds = np.random.default_rng(7).uniform(-2, 2, (30, 2))
+        seeds[11] = (0.0, 0.0)  # a singular Jacobian in the second block
+        target = np.random.default_rng(8).uniform(-1, 1, (30, 2))
+        whole = newton_batch(f, jac, seeds, target)
+        monkeypatch.setattr(numeric, "BLOCK_ROWS", 7)
+        assert_same_rows(newton_batch(f, jac, seeds, target), whole)
+        assert_same_rows(whole, newton_rows(f, jac, seeds, target))
+
+
+class TestScalarPow:
+    def test_rows_get_single_point_bits(self):
+        comps = [parse("x^3*y^-2 + x^2 - 3*y^4", 2), parse("(x + y)^5 - x^-1", 2)]
+        f = compile_components(comps, scalar_pow=True)
+        Z = np.random.default_rng(4).uniform(-3, 3, (400, 2))
+        batch = f(Z)
+        single = np.array([f(z) for z in Z])
+        assert batch.tobytes() == single.tobytes()
+
+    def test_overflow_and_zero_division_give_inf(self):
+        f = compile_components([parse("x^3", 1), parse("x^-1", 1)], scalar_pow=True)
+        Z = np.array([[1e200], [0.0], [2.0]])
+        out = f(Z)
+        assert out[0, 0] == np.inf and out[1, 1] == np.inf
+        assert out.tobytes() == np.array([f(z) for z in Z]).tobytes()
+
+    def test_default_kernels_keep_numpy_power(self):
+        src = compile_columns([parse("x^3", 1)]).source
+        assert "t0**3" in src and "_pow" not in src
+        assert "_pow(t0, 3)" in compile_columns([parse("x^3", 1)], scalar_pow=True).source
