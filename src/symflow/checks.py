@@ -26,9 +26,9 @@ from .expr import (
 )
 from .fields import JacobianMatrix, SmoothMap, VectorField, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, compile_scalar, newton_batch
+from .numeric import compile_components, compile_matrix, newton_batch
 from .tower import DivergenceTower, Selection, build_tower, delta_map
-from .verdict import Certainty, CheckKind, Status, Verdict, combine
+from .verdict import Certainty, CheckKind, Status, Verdict, combine, threshold_verdict
 
 FIXED_POINT_TOL = 1e-8
 FIXED_VALUE_TOL = 1e-10
@@ -360,28 +360,9 @@ def check_fixed_points_even_orders(
 
     parts = []
     for k in orders:
-        fn = compile_scalar(tower.orders[k])
-        vals = [abs(float(fn(np.asarray(p)))) for p in fs.points]
-        worst = int(np.argmax(vals))
-        if vals[worst] < value_tol:
-            parts.append(
-                Verdict(
-                    Status.HOLDS,
-                    Certainty.PROBABILISTIC,
-                    vals[worst],
-                    (),
-                    f"order {k}: max |value| {vals[worst]:.3g} over {len(fs.points)} fixed points",
-                )
-            )
-        else:
-            witnesses = tuple(
-                (fs.points[i], vals[i])
-                for i in np.argsort(vals)[::-1][:3]
-                if vals[i] >= value_tol
-            )
-            parts.append(
-                Verdict(Status.FAILS, Certainty.PROBABILISTIC, vals[worst], witnesses, f"order {k}")
-            )
+        fn = compile_components([tower.orders[k]])
+        vals = [abs(fn(np.asarray(p))[0]) for p in fs.points]
+        parts.append(threshold_verdict(vals, fs.points, value_tol, f"order {k} at {len(fs.points)} fixed points"))
     return combine(parts, notes=f"even orders {orders} at located fixed points")
 
 
@@ -409,43 +390,24 @@ def check_level_set_invariance(
     rng = rng if rng is not None else np.random.default_rng(0)
     tower = build_tower(F, order)
     dj = tower.orders[order]
-    fn = compile_scalar(dj)
+    fn = compile_components([dj])
     grad = compile_components([ex.differentiate(dj, i + 1) for i in range(F.dimension)])
     sig = compile_components(sigma.components)
 
     signed = kind is CheckKind.REVERSIBILITY and order % 2 == 0
     parts = []
     for L in levels:
+        label = f"level-set invariance of order {order} at level {L}"
+        if signed:
+            label += " (sign-free, even order)"
         pts = _project_to_level(fn, grad, box, float(L), samples, eps_on, rng)
         if not pts:
-            parts.append(Verdict.inconclusive(f"level {L}: no points found in the box"))
+            parts.append(Verdict.inconclusive(f"{label}: no points found in the box"))
             continue
-        images = sig(np.asarray(pts))
-        vals = fn(images)
-        if signed:
-            residuals = np.abs(vals * vals - float(L) ** 2)
-            label = f"level {L} (sign-free, even order)"
-        else:
-            residuals = np.abs(vals - float(L))
-            label = f"level {L}"
-        worst = int(np.argmax(residuals))
-        if residuals[worst] < tol:
-            parts.append(
-                Verdict(
-                    Status.HOLDS,
-                    Certainty.PROBABILISTIC,
-                    float(residuals[worst]),
-                    (),
-                    f"{label}: {len(pts)} points",
-                )
-            )
-        else:
-            order_idx = np.argsort(-residuals)[:3]
-            witnesses = tuple((as_point(pts[i]), float(residuals[i])) for i in order_idx)
-            parts.append(
-                Verdict(Status.FAILS, Certainty.PROBABILISTIC, float(residuals[worst]), witnesses, label)
-            )
-    return combine(parts, notes=f"level-set invariance of order {order}")
+        vals = fn(sig(np.asarray(pts)))[:, 0]
+        residuals = np.abs(vals * vals - float(L) ** 2) if signed else np.abs(vals - float(L))
+        parts.append(threshold_verdict(residuals, pts, tol, f"{label}: {len(pts)} points"))
+    return combine(parts)
 
 
 def _project_to_level(fn, grad, box, L, samples, eps_on, rng, max_attempts_factor=50):
@@ -456,7 +418,7 @@ def _project_to_level(fn, grad, box, L, samples, eps_on, rng, max_attempts_facto
         attempts += 1
         p = box.sample(rng, 1)[0]
         for _ in range(40):
-            v = float(fn(p)) - L
+            v = float(fn(p)[0]) - L
             if abs(v) < eps_on:
                 break
             g = grad(p)
@@ -464,7 +426,7 @@ def _project_to_level(fn, grad, box, L, samples, eps_on, rng, max_attempts_facto
             if not np.isfinite(gg) or gg < 1e-14:
                 break
             p = p - (v / gg) * g
-        if abs(float(fn(p)) - L) < eps_on and box.contains(p):
+        if abs(float(fn(p)[0]) - L) < eps_on and box.contains(p):
             pts.append(as_point(p))
     return pts
 
@@ -499,21 +461,21 @@ def check_delta_noninvertibility(
     J = JacobianMatrix(entries)
     assumption = "assumes sigma is non-trivial in every neighbourhood of z0"
 
-    exact_possible = F.is_polynomial() and all(
+    # the symbolic determinant is built only where it is evaluated exactly
+    exact_possible = n <= 4 and F.is_polynomial() and all(
         isinstance(c, (int, Fraction)) for c in z0
     )
-    det_expr = J.det() if n <= 4 else None
 
     jac_fn = compile_matrix(entries)
     Jnum = jac_fn(np.asarray([float(c) for c in z0], dtype=float))
     minors = _minor_magnitudes(Jnum)
     scale = 1.0 + max(minors)
     threshold = tol_rel * scale
+    p = as_point([float(c) for c in z0])
 
-    if det_expr is not None and exact_possible:
-        value = ex.evaluate_exact(det_expr, [Fraction(c) for c in z0])
+    if exact_possible:
+        value = ex.evaluate_exact(J.det(), [Fraction(c) for c in z0])
         mag = abs(float(value))
-        p = as_point([float(c) for c in z0])
         if value == 0:
             return Verdict(
                 Status.HOLDS,
@@ -539,21 +501,8 @@ def check_delta_noninvertibility(
         )
 
     det_val = abs(float(np.linalg.det(Jnum)))
-    p = as_point([float(c) for c in z0])
-    if det_val < threshold:
-        return Verdict(
-            Status.HOLDS,
-            Certainty.PROBABILISTIC,
-            det_val,
-            (),
-            f"|det J_Delta(z0)| = {det_val:.3g} below threshold {threshold:.3g}; {assumption}",
-        )
-    return Verdict(
-        Status.FAILS,
-        Certainty.PROBABILISTIC,
-        det_val,
-        ((p, det_val),),
-        f"|det J_Delta(z0)| = {det_val:.3g} (threshold {threshold:.3g}); {assumption}",
+    return threshold_verdict(
+        [det_val], [p], threshold, f"|det J_Delta(z0)| = {det_val:.3g} (threshold {threshold:.3g}); {assumption}"
     )
 
 

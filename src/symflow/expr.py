@@ -20,14 +20,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .geometry import DomainBox
-from .verdict import Certainty, Status, Verdict
+from .verdict import Certainty, Status, Verdict, threshold_verdict, top_witnesses
 
 UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt")
 BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
 DEFAULT_TRIALS = 200
 ZERO_TOL_REL = 1e-9  # identically_zero: tol = ZERO_TOL_REL * (1 + subterm scale)
-WITNESS_CAP = 3
 
 
 class ExprError(Exception):
@@ -1076,14 +1075,6 @@ def _sample(e: Expression, box: DomainBox, trials: int, rng) -> tuple:
     return pts, np.abs(value), scale, ok
 
 
-def _top_witnesses(pts: np.ndarray, residuals: np.ndarray, rows: np.ndarray) -> tuple:
-    """The WITNESS_CAP selected rows with the largest residuals; ties keep
-    sample order."""
-    idx = np.flatnonzero(rows)
-    top = idx[np.argsort(-residuals[idx], kind="stable")][:WITNESS_CAP]
-    return tuple((tuple(float(c) for c in pts[i]), float(residuals[i])) for i in top)
-
-
 def sampled_zero_verdict(
     e: Expression,
     box: DomainBox,
@@ -1114,22 +1105,17 @@ def sampled_zero_verdict(
     good = int(ok.sum())
     if not good:
         return Verdict.inconclusive(f"all {trials} sample evaluations failed")
-    worst = float(residuals[ok].max())
     tol_eff = tol if tol is not None else ZERO_TOL_REL * (1.0 + float(scale[ok].max()))
-    notes = f"sampled {good}/{trials} points, tol {tol_eff:.3g}"
-    if good < trials:
-        notes += f", {trials - good} evaluation errors skipped"
-    if worst < tol_eff:
-        return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, worst, (), notes)
-    bad = ok & (residuals >= tol_eff)
-    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, worst, _top_witnesses(pts, residuals, bad), notes)
+    # rows that are not ok are evaluation errors, even where |value| is finite
+    return threshold_verdict(np.where(ok, residuals, np.nan), pts, tol_eff,
+                             f"sampled {good}/{trials} points, tol {tol_eff:.3g}")
 
 
 def _certain_nonzero_witnesses(canonical: Expression, box: DomainBox, trials: int, rng) -> tuple:
     pts, residuals, _, ok = _sample(canonical, box, trials, rng)
     nonzero = ok & (residuals > 0.0)
     if nonzero.any():
-        return _top_witnesses(pts, residuals, nonzero)
+        return top_witnesses(pts, residuals, nonzero)
     # a nonzero polynomial vanishes only on a null set; fall back to a
     # deterministic rational probe so the fails verdict always carries a witness
     n = max(max_var_index(canonical), 1)
@@ -1138,7 +1124,7 @@ def _certain_nonzero_witnesses(canonical: Expression, box: DomainBox, trials: in
         v = evaluate_exact(canonical, p)
         if v != 0:
             return ((tuple(float(c) for c in p), abs(const_float(v))),)
-    return _top_witnesses(pts, residuals, ok) if ok.any() else ((tuple(0.0 for _ in range(n)), 0.0),)
+    return top_witnesses(pts, residuals, ok) if ok.any() else ((tuple(0.0 for _ in range(n)), 0.0),)
 
 
 def identically_zero(

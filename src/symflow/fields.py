@@ -13,7 +13,7 @@ from . import expr as ex
 from .expr import Expression, identically_zero, to_string
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, compile_matrix, newton_batch, row_norms, solve_rows
-from .verdict import Certainty, Status, Verdict, combine
+from .verdict import Verdict, combine, threshold_verdict
 
 logger = logging.getLogger(__name__)
 
@@ -186,13 +186,10 @@ def is_measure_preserving(
     rng = rng if rng is not None else np.random.default_rng(0)
     jac_fn = compile_matrix(jacobian(m).entries)
     pts = box.sample(rng, trials)
-    dets = np.linalg.det(jac_fn(pts))
-    residuals = np.abs(dets * dets - 1.0)
-    worst = int(np.argmax(residuals))
-    if residuals[worst] < 1e-9:
-        return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, float(residuals[worst]), (), "sampled determinant")
-    witness = (as_point(pts[worst]), float(residuals[worst]))
-    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, float(residuals[worst]), (witness,), "sampled determinant")
+    with np.errstate(all="ignore"):
+        dets = np.linalg.det(jac_fn(pts))
+        residuals = np.abs(dets * dets - 1.0)
+    return threshold_verdict(residuals, pts, 1e-9, "sampled determinant")
 
 
 def find_critical_points(

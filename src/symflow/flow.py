@@ -16,15 +16,8 @@ import numpy as np
 
 from .fields import SmoothMap, VectorField, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import (
-    compile_columns,
-    compile_components,
-    compile_matrix,
-    rk4_march,
-    rk4_path,
-    rk4_variational,
-)
-from .verdict import Certainty, CheckKind, Status, Verdict
+from .numeric import compile_columns, compile_components, rk4_march, rk4_path, rk4_variational
+from .verdict import CheckKind, Verdict, threshold_verdict
 
 TOL_FLOW = 1e-5
 DEFAULT_STEP = 1e-3
@@ -162,17 +155,10 @@ def check_flow_relation(
             f"{skipped}/{samples} samples escaped before their comparison time"
         )
     diffs = np.linalg.norm(lhs[good] - rhs[good], axis=-1)
-    pts = Z[good]
-    worst = int(np.argmax(diffs))
-    residual = float(diffs[worst])
     notes = f"{int(good.sum())} samples, horizon {cfg.horizon}, step {h:.3g}"
     if skipped:
         notes += f", {skipped} escaped samples skipped"
-    if residual < tol:
-        return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, residual, (), notes)
-    order = np.argsort(-diffs)[:3]
-    witnesses = tuple((as_point(pts[i]), float(diffs[i])) for i in order)
-    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, residual, witnesses, notes)
+    return threshold_verdict(diffs, Z[good], tol, notes)
 
 
 def check_liouville(
@@ -194,8 +180,8 @@ def check_liouville(
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     rng = np.random.default_rng(seed)
-    f = compile_components(F.components)
-    jac_fn = compile_matrix(jacobian(F).entries)
+    f = compile_columns(F.components)
+    jac_fn = compile_columns([e for row in jacobian(F).entries for e in row])
     div_fn = compile_components([divergence(F)])
     guard = F.domain.inflate(ESCAPE_INFLATION)
     dt = min(_SLOPE_DT, t_max)
@@ -232,8 +218,5 @@ def check_liouville(
     )
     if shrunk:
         notes += " (region shrunk once after escape)"
-    if rel < tol:
-        return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, rel, (), notes)
-    witness = (region.center(), rel)
-    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, rel, (witness,), notes)
+    return threshold_verdict([rel], [region.center()], tol, notes)
 

@@ -4,11 +4,9 @@ Expressions compile once into a column kernel: it takes the coordinate
 columns z_1..z_n (arrays of one common shape, or floats) and returns one value
 per expression.  A batch of N points is n arrays of length N, so nothing is
 stacked or copied between calls, and a component that is constant comes back
-as a Python float that broadcasts.  `compile_components` wraps the column
-kernel for callers that hold points as one array of shape (..., n), so the
-same compiled code serves single points and large Monte-Carlo batches.
-Domain faults (division by zero, log of a negative) surface as non-finite
-entries rather than exceptions; callers mask them.
+as a Python float that broadcasts.  Domain faults (division by zero, log of
+a negative) surface as non-finite entries rather than exceptions; callers
+mask them.
 
 One emitter (`_Emitter`) records every kernel as a tape of numpy
 operations, one common-subexpression temporary per distinct subterm, and
@@ -308,9 +306,8 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
 
 
 def compile_components(exprs: Sequence[Expression], scalar_pow: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k).
-    The column kernel is kept as `f.columns`; scalar_pow as in
-    compile_columns."""
+    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k);
+    scalar_pow as in compile_columns."""
     kernel = compile_columns(exprs, scalar_pow)
 
     def run(Z):
@@ -321,13 +318,11 @@ def compile_components(exprs: Sequence[Expression], scalar_pow: bool = False) ->
         with np.errstate(all="ignore"):
             return np.stack([base + v for v in kernel(cols)], axis=-1)
 
-    run.columns = kernel
     return run
 
 
 def compile_matrix(entries: Sequence[Sequence[Expression]], scalar_pow: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a grid of expressions into f(Z) -> (..., rows, cols).  The
-    column kernel of the row-major entries is kept as `f.columns`;
+    """Compile a grid of expressions into f(Z) -> (..., rows, cols);
     scalar_pow as in compile_columns."""
     rows = len(entries)
     cols = len(entries[0])
@@ -337,16 +332,6 @@ def compile_matrix(entries: Sequence[Sequence[Expression]], scalar_pow: bool = F
     def run(Z: np.ndarray) -> np.ndarray:
         vals = fn(Z)
         return vals.reshape(vals.shape[:-1] + (rows, cols))
-
-    run.columns = fn.columns
-    return run
-
-
-def compile_scalar(e: Expression) -> Callable[[np.ndarray], np.ndarray]:
-    fn = compile_components([e])
-
-    def run(Z: np.ndarray) -> np.ndarray:
-        return fn(Z)[..., 0]
 
     return run
 
@@ -454,19 +439,6 @@ def variational_kernel(f: Callable, jac: Callable, n: int) -> Callable:
     return g
 
 
-def rk4_step(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of points z, shape (..., n); f from compile_components."""
-    return rk4_final(f, z, h, 1)
-
-
-def rk4_final(f: Callable, z0: np.ndarray, t_total: float, steps: int) -> np.ndarray:
-    """State after `steps` RK4 steps covering t_total, points of shape
-    (..., n); f from compile_components."""
-    z = np.asarray(z0, dtype=float)
-    zT, _ = rk4_march(f.columns, np.moveaxis(z, -1, 0), t_total / steps, steps)
-    return np.stack(zT, axis=-1)
-
-
 def rk4_variational(
     f: Callable,
     jac: Callable,
@@ -478,13 +450,13 @@ def rk4_variational(
 
     Returns (z(T), J(T)) where J is the Jacobian of the time-T flow map with
     respect to the initial state.  Batched: z0 of shape (N, n) gives J of
-    shape (N, n, n).  f and jac come from compile_components and
-    compile_matrix.
+    shape (N, n, n).  f and jac are the column kernels (compile_columns)
+    of F and of its row-major Jacobian entries.
     """
     z = np.asarray(z0, dtype=float)
     n = z.shape[-1]
     eye = [np.full(z.shape[:-1], float(i == j)) for i in range(n) for j in range(n)]
-    g = variational_kernel(f.columns, jac.columns, n)
+    g = variational_kernel(f, jac, n)
     y, _ = rk4_march(g, [*np.moveaxis(z, -1, 0), *eye], t_total / steps, steps)
     zT = np.stack(y[:n], axis=-1)
     JT = np.stack(y[n:], axis=-1).reshape(z.shape[:-1] + (n, n))

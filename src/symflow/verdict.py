@@ -6,9 +6,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .geometry import Point
+import numpy as np
+
+from .geometry import Point, as_point
 
 Witness = Tuple[Point, float]
+
+WITNESS_CAP = 3
 
 
 class Status(str, enum.Enum):
@@ -93,6 +97,37 @@ class Verdict:
             ],
             "notes": self.notes,
         }
+
+
+def top_witnesses(points, residuals: np.ndarray, rows: np.ndarray) -> Tuple[Witness, ...]:
+    """The WITNESS_CAP selected rows with the largest residuals; ties keep
+    sample order."""
+    idx = np.flatnonzero(rows)
+    top = idx[np.argsort(-residuals[idx], kind="stable")][:WITNESS_CAP]
+    return tuple((as_point(points[i]), float(residuals[i])) for i in top)
+
+
+def threshold_verdict(residuals, points, tol: float, notes: str) -> Verdict:
+    """The probabilistic verdict on sampled residuals of a law, residuals[i]
+    taken at points[i].
+
+    A non-finite residual is an evaluation error: its row is skipped and
+    counted in the notes, and with no finite row the verdict is
+    inconclusive.  The law holds when the worst finite residual is below
+    tol; otherwise it fails, with the top witnesses among the rows whose
+    residual is at least tol.
+    """
+    r = np.asarray(residuals, dtype=float)
+    finite = np.isfinite(r)
+    errors = int(r.size - finite.sum())
+    if errors:
+        notes += f", {errors} evaluation errors skipped"
+    if not finite.any():
+        return Verdict.inconclusive(notes)
+    worst = float(r[finite].max())
+    if worst < tol:
+        return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, worst, (), notes)
+    return Verdict(Status.FAILS, Certainty.PROBABILISTIC, worst, top_witnesses(points, r, finite & (r >= tol)), notes)
 
 
 def combine(parts: Sequence[Verdict], notes: str = "") -> Verdict:

@@ -1,7 +1,9 @@
 """The structure-check battery."""
 
+import numpy as np
 import pytest
 
+from symflow import checks
 from symflow.candidates import lienard_field, lotka_volterra_field
 from symflow.checks import (
     check_delta_noninvertibility,
@@ -12,7 +14,7 @@ from symflow.checks import (
     fixed_points,
     tower_order_verdicts,
 )
-from symflow.fields import SmoothMap, VectorField, identity_map
+from symflow.fields import JacobianMatrix, SmoothMap, VectorField, identity_map
 from symflow.geometry import DomainBox
 from symflow.parser import parse
 from symflow.tower import default_selection
@@ -214,6 +216,19 @@ class TestLevelSets:
             F, map2("2*x", "y"), CheckKind.SYMMETRY, 0, [1.0], samples=20
         )
         assert v.status is Status.FAILS
+        assert v.witnesses and all(r >= checks.LEVEL_TOL for _, r in v.witnesses)
+
+    def test_rows_where_sigma_is_undefined_are_skipped_and_counted(self):
+        # log(x) is undefined for x <= 0, about half the points of the level
+        # set; those rows are evaluation errors, not a failure with a nan
+        # residual and passing rows as witnesses
+        v = check_level_set_invariance(
+            field2("y", "-x"), map2("log(x)", "y"), CheckKind.SYMMETRY, 0, [0.0]
+        )
+        assert v.status is Status.HOLDS and v.residual_max == 0.0
+        assert not v.witnesses
+        skipped = int(v.notes.split(", ")[-1].split()[0])
+        assert 0 < skipped < 40 and v.notes.endswith(f"40 points, {skipped} evaluation errors skipped")
 
 
 class TestDeltaNoninvertibility:
@@ -237,6 +252,22 @@ class TestDeltaNoninvertibility:
         v = check_delta_noninvertibility(F, (0, 0), default_selection(2), sigma=sigma)
         assert v.status is Status.FAILS
         assert v.witnesses[0][1] == pytest.approx(4.0)
+
+    def test_numeric_branch_builds_no_symbolic_determinant(self, monkeypatch):
+        # a transcendental field is decided numerically, so the symbolic
+        # determinant of J_Delta would be thrown away
+        def refuse(self):
+            raise AssertionError("symbolic determinant built for a numeric check")
+
+        monkeypatch.setattr(JacobianMatrix, "det", refuse)
+        F = VectorField(
+            [parse(t, 3) for t in ("sin(y)*exp(x)", "cos(x*z) + y^2", "exp(x*y)*z")],
+            DomainBox.cube(-1, 1, 3),
+        )
+        v = check_delta_noninvertibility(F, (0.1, 0.2, 0.3), default_selection(3))
+        assert v.status is Status.FAILS and v.certainty is Certainty.PROBABILISTIC
+        assert v.witnesses == (((0.1, 0.2, 0.3), v.residual_max),)
+        assert np.isfinite(v.residual_max)
 
     def test_rejects_non_fixed_point(self):
         F = field2("y + x^2", "-x")

@@ -1,5 +1,7 @@
 """Fields, maps, Jacobians, divergence, Lie derivatives, critical points."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,18 @@ class TestMeasurePreserving:
         v = is_measure_preserving(shear)
         assert v.status is Status.HOLDS
         assert v.certainty is Certainty.PROBABILISTIC
+
+    def test_high_dimension_overflow_is_skipped_without_warning(self):
+        # det J = exp(exp(exp(z1)) + exp(z1) + z1), whose square overflows
+        # for z1 beyond about 1.8; those rows are counted, and numpy warns
+        # about nothing
+        comps = [parse("exp(exp(exp(z1)))", 5)] + [parse(f"z{i}", 5) for i in range(2, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = is_measure_preserving(SmoothMap(comps, DomainBox.cube(-3, 3, 5)))
+        assert v.status is Status.FAILS and np.isfinite(v.residual_max)
+        assert len(v.witnesses) == 3
+        assert v.notes.startswith("sampled determinant, ") and v.notes.endswith(" evaluation errors skipped")
 
     def test_high_dimension_dilation_fails(self):
         comps = [parse("2*z1", 5)] + [parse(f"z{i}", 5) for i in range(2, 6)]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symflow.geometry import DomainBox
-from symflow.verdict import Certainty, Status, Verdict, combine
+from symflow.verdict import WITNESS_CAP, Certainty, Status, Verdict, combine, threshold_verdict
 
 
 class TestDomainBox:
@@ -79,3 +81,62 @@ class TestVerdict:
         d = v.to_jsonable()
         assert d["residual_max"] == repr(0.5)
         assert d["witnesses"][0]["point"] == [repr(1.0), repr(2.0)]
+
+
+def rows(k):
+    return [(float(i), -float(i)) for i in range(k)]
+
+
+class TestThresholdVerdict:
+    def test_worst_equal_to_tol_fails(self):
+        v = threshold_verdict([0.5, 1.0], rows(2), 1.0, "n")
+        assert v.status is Status.FAILS and v.residual_max == 1.0
+        assert v.witnesses == (((1.0, -1.0), 1.0),)
+        v = threshold_verdict([0.5, 1.0], rows(2), np.nextafter(1.0, 2.0), "n")
+        assert v.status is Status.HOLDS and v.certainty is Certainty.PROBABILISTIC
+        assert v.residual_max == 1.0 and v.witnesses == () and v.notes == "n"
+
+    def test_witnesses_are_capped_largest_first_and_at_least_tol(self):
+        v = threshold_verdict([1.0, 5.0, 3.0, 4.0, 2.0, 0.5], rows(6), 1.5, "n")
+        assert WITNESS_CAP == 3
+        assert [p[0] for p, _ in v.witnesses] == [1.0, 3.0, 2.0]
+        assert [r for _, r in v.witnesses] == [5.0, 4.0, 3.0]
+        v = threshold_verdict([1.0, 5.0, 3.0], rows(3), 4.0, "n")
+        assert v.witnesses == (((1.0, -1.0), 5.0),)
+
+    def test_ties_keep_sample_order(self):
+        v = threshold_verdict([2.0, 7.0, 7.0, 1.0, 7.0, 7.0], rows(6), 1.0, "n")
+        assert [p[0] for p, _ in v.witnesses] == [1.0, 2.0, 4.0]
+
+    def test_non_finite_rows_are_skipped_and_counted(self):
+        v = threshold_verdict([np.nan, 0.25, np.inf, -np.inf], rows(4), 1.0, "n")
+        assert v.status is Status.HOLDS and v.residual_max == 0.25
+        assert v.notes == "n, 3 evaluation errors skipped"
+        v = threshold_verdict([np.inf, 2.0, np.nan], rows(3), 1.0, "n")
+        assert v.status is Status.FAILS and v.residual_max == 2.0
+        assert v.witnesses == (((1.0, -1.0), 2.0),)
+        assert v.notes == "n, 2 evaluation errors skipped"
+
+    def test_no_finite_row_is_inconclusive(self):
+        v = threshold_verdict([np.nan, np.inf], rows(2), 1.0, "n")
+        assert v.status is Status.INCONCLUSIVE
+        assert v.notes == "n, 2 evaluation errors skipped"
+        assert threshold_verdict([], [], 1.0, "n").status is Status.INCONCLUSIVE
+
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 1e3), st.sampled_from([np.nan, np.inf])), max_size=12),
+        st.floats(0.0, 1e3),
+    )
+    def test_fails_always_carries_witnesses_at_least_tol(self, residuals, tol):
+        v = threshold_verdict(residuals, rows(len(residuals)), tol, "n")
+        finite = [r for r in residuals if np.isfinite(r)]
+        assert np.isfinite(v.residual_max)
+        if not finite:
+            assert v.status is Status.INCONCLUSIVE
+        elif max(finite) < tol:
+            assert v.status is Status.HOLDS and v.residual_max == max(finite)
+        else:
+            assert v.status is Status.FAILS and v.residual_max == max(finite)
+            assert 1 <= len(v.witnesses) <= WITNESS_CAP
+            assert v.witnesses[0][1] == max(finite)
+            assert all(r >= tol for _, r in v.witnesses)

@@ -17,9 +17,7 @@ from symflow.numeric import (
     compile_components,
     compile_matrix,
     newton_batch,
-    rk4_final,
     rk4_march,
-    rk4_step,
     rk4_variational,
 )
 from symflow.parser import parse
@@ -39,6 +37,12 @@ def reference_rk4(f, z, h, steps):
         k4 = f(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return z
+
+
+def variational_kernels(F):
+    """The column kernels of F and of its row-major Jacobian entries, as
+    rk4_variational takes them."""
+    return compile_columns(F.components), compile_columns([e for row in jacobian(F).entries for e in row])
 
 
 def reference_variational(f, jac, z, h, steps):
@@ -83,17 +87,18 @@ class TestColumnKernels:
         F = field2("x^2*y", "x - y^3")
         jac = compile_matrix(jacobian(F).entries)
         Z = np.random.default_rng(2).uniform(-1, 1, (4, 2))
-        flat = jac.columns(Z.T)
+        flat = variational_kernels(F)[1](Z.T)
         assert np.array_equal(jac(Z).reshape(4, 4), np.stack(np.broadcast_arrays(*flat), axis=-1))
 
 
 class TestMarch:
     def test_same_bits_as_point_layout_reference(self):
         F = field2(*PENDULUM)
-        f = compile_components(F.components)
+        f, cols = compile_components(F.components), compile_columns(F.components)
         Z = np.random.default_rng(3).uniform(-1, 1, (40, 2))
-        assert np.array_equal(rk4_final(f, Z, 0.3, 30), reference_rk4(f, Z, 0.3 / 30, 30))
-        assert np.array_equal(rk4_step(f, Z, 0.01), reference_rk4(f, Z, 0.01, 1))
+        for h, steps in ((0.3 / 30, 30), (0.01, 1)):
+            zT, _ = rk4_march(cols, Z.T, h, steps)
+            assert np.array_equal(np.stack(zT, axis=-1), reference_rk4(f, Z, h, steps))
 
     def test_batch_rows_equal_rows_marched_alone(self):
         f = compile_columns(field2(*PENDULUM).components)
@@ -152,7 +157,7 @@ class TestMarch:
 class TestVariational:
     def test_rotation(self):
         F = field2("y", "-x")
-        f, jac = compile_components(F.components), compile_matrix(jacobian(F).entries)
+        f, jac = variational_kernels(F)
         Z = np.random.default_rng(6).uniform(-1, 1, (10, 2))
         T = 1.0
         zT, JT = rk4_variational(f, jac, Z, T, 1000)
@@ -163,7 +168,7 @@ class TestVariational:
 
     def test_expansion_determinant(self):
         F = field2("x", "y")
-        f, jac = compile_components(F.components), compile_matrix(jacobian(F).entries)
+        f, jac = variational_kernels(F)
         Z = np.random.default_rng(7).uniform(-1, 1, (10, 2))
         for T in (0.5, -0.5):
             _, JT = rk4_variational(f, jac, Z, T, 500)
@@ -173,9 +178,9 @@ class TestVariational:
         # the reference multiplies with `@`, which may fuse multiply-adds, so
         # the two agree to rounding, not bit for bit
         F = field2("y + x^2 - x*y", "-sin(x) + y^2/2")
-        f, jac = compile_components(F.components), compile_matrix(jacobian(F).entries)
         Z = np.random.default_rng(8).uniform(-0.5, 0.5, (200, 2))
-        zT, JT = rk4_variational(f, jac, Z, 0.05, 50)
+        zT, JT = rk4_variational(*variational_kernels(F), Z, 0.05, 50)
+        f, jac = compile_components(F.components), compile_matrix(jacobian(F).entries)
         zR, JR = reference_variational(f, jac, Z, 0.05 / 50, 50)
         assert np.array_equal(zT, zR)
         assert np.allclose(JT, JR, rtol=0, atol=1e3 * np.finfo(float).eps)
