@@ -61,13 +61,9 @@ class _DeltaSolver:
         self.field = F
         self.kind = kind
         self.delta = delta
-        self.fn = compile_components(delta.components, scalar_pow=True)
+        self.fn = compile_components(delta.components)
         self.jac = compile_matrix(
-            [
-                [ex.differentiate(delta.components[i], j + 1) for j in range(n)]
-                for i in range(n)
-            ],
-            scalar_pow=True,
+            [[ex.differentiate(c, j + 1) for j in range(n)] for c in delta.components]
         )
         self.signs = (
             sign_matrix(selection).as_array()

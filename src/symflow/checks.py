@@ -265,9 +265,7 @@ def fixed_points(
                 pts.append(as_point(p))
         return FixedSet(pts, particular, basis, cube)
 
-    fn = compile_components(
-        [ex.sub(c, ex.Var(i + 1)) for i, c in enumerate(sigma.components)], scalar_pow=True
-    )
+    fn = compile_components([ex.sub(c, ex.Var(i + 1)) for i, c in enumerate(sigma.components)])
     entries = jacobian(sigma).entries
     jac_minus_id = [
         [
@@ -276,7 +274,7 @@ def fixed_points(
         ]
         for i in range(n)
     ]
-    jac_fn = compile_matrix(jac_minus_id, scalar_pow=True)
+    jac_fn = compile_matrix(jac_minus_id)
     X, ok, r = newton_batch(fn, jac_fn, box.grid(seeds_per_axis), tol=FIXED_POINT_TOL, max_iter=60)
     pts: List[Point] = []
     for x in X[ok & (r < FIXED_POINT_TOL)]:
@@ -405,7 +403,7 @@ def check_level_set_invariance(
             parts.append(Verdict.inconclusive(f"{label}: no points found in the box"))
             continue
         vals = fn(sig(np.asarray(pts)))[:, 0]
-        residuals = np.abs(vals * vals - float(L) ** 2) if signed else np.abs(vals - float(L))
+        residuals = np.abs(vals * vals - float(L) * float(L)) if signed else np.abs(vals - float(L))
         parts.append(threshold_verdict(residuals, pts, tol, f"{label}: {len(pts)} points"))
     return combine(parts)
 

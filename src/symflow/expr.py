@@ -940,6 +940,20 @@ def _postorder(e: Expression, enter=None):
             stack.append((node.left, False))
 
 
+def int_power(x, k: int):
+    """x**k for an integer k, on a float or elementwise on an array, by
+    binary powering: a fixed chain of multiplications, each correctly
+    rounded on every CPU and SIMD width, so a value gets the same bits alone
+    or in a batch, on any host.  A negative k divides 1 by the chain; k == 0
+    gives exactly 1, at nan and inf too."""
+    if k < 0:
+        return 1.0 / int_power(x, -k)
+    if k < 2:
+        return x if k else x ** 0
+    y = int_power(x * x, k >> 1)
+    return y * x if k & 1 else y
+
+
 def _eval_node(e: Expression, vals: list, coords: Sequence[float]) -> float:
     """e's value from its operands' values, popped off the end of vals."""
     if isinstance(e, Const):
@@ -972,19 +986,18 @@ def _eval_node(e: Expression, vals: list, coords: Sequence[float]) -> float:
     elif e.op == "pow":
         a = vals.pop()
         q = e.right.value
+        if a == 0.0 and q < 0:
+            raise EvaluationError("zero base with negative exponent", e)
+        if a < 0.0 and q.denominator != 1:
+            raise EvaluationError("negative base with fractional exponent", e)
         try:
-            if q.denominator == 1:
-                if a == 0.0 and q < 0:
-                    raise EvaluationError("zero base with negative exponent", e)
-                v = a ** int(q)
-            else:
-                if a < 0.0:
-                    raise EvaluationError("negative base with fractional exponent", e)
-                if a == 0.0 and q < 0:
-                    raise EvaluationError("zero base with negative exponent", e)
-                v = a ** float(q)
-        except OverflowError:
-            raise EvaluationError("pow overflow", e) from None
+            # an overflowing chain gives inf without raising, and a negative
+            # power whose chain underflows to 0 divides by zero
+            v = int_power(a, int(q)) if q.denominator == 1 else a ** float(q)
+        except (OverflowError, ZeroDivisionError):
+            v = math.inf
+        if not math.isfinite(v):
+            raise EvaluationError("pow overflow", e)
     else:
         b = vals.pop()
         a = vals.pop()
@@ -1095,8 +1108,9 @@ def sampled_zero_verdict(
     |subterm| per point, inside the kernel.  A point whose subterms are not
     all finite (a zero divisor, log <= 0, sqrt < 0, an overflow, ...) is an
     evaluation error, exactly where the tree walk `evaluate` raises
-    EvaluationError.  Values agree with the tree walk's to a few ulps:
-    numpy's exp, log and integer powers are not always libm's.
+    EvaluationError.  Values agree with the tree walk's to a few ulps, and
+    exactly on + - * / and integer powers: numpy's exp, log, sin, cos and
+    fractional powers are not always libm's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -205,8 +205,8 @@ def find_critical_points(
     order duplicates merged and roots outside the box discarded.  The
     non-convergence count is logged; an empty list is a valid result.
     """
-    f = compile_components(F.components, scalar_pow=True)
-    jac_fn = compile_matrix(jacobian(F).entries, scalar_pow=True)
+    f = compile_components(F.components)
+    jac_fn = compile_matrix(jacobian(F).entries)
     seeds = F.domain.grid(seeds_per_axis)
     blob_radius = 1e-2 * float(np.linalg.norm(F.domain.highs - F.domain.lows))
     X, ok, r = newton_batch(f, jac_fn, seeds, tol=residual_tol, max_iter=NEWTON_MAX_ITER)

@@ -10,17 +10,20 @@ mask them.
 
 One emitter (`_Emitter`) records every kernel as a tape of numpy
 operations, one common-subexpression temporary per distinct subterm, and
-folds subterms without variables into constants.  `compile_columns`, for
-the RK4 and Newton kernels that run thousands of times, renders the tape as
-straight-line source and compiles it once; the kernel returns the requested
-values and deletes each temporary after its last use, so a large batch
-holds only the live ones.  `compile_scaled`, behind every sampled zero test,
-evaluates its expression once, so it runs the tape directly, with no source
-text and no `exec`: the same operators and numpy functions in the same
-order, so the same bits.  It also returns per row the largest |subterm|,
-which sets the relative tolerance, and a mask of the rows where every
-subterm is finite, which are the rows the tree walk `expr.evaluate` can
-evaluate.
+folds subterms without variables into constants.  An integer power is one
+tape entry, computed by the tree walk's own chain of multiplications
+(`expr.int_power`), so a polynomial kernel gives the same bits on every
+row, point and host; numpy's exp, log, sin and cos may differ between
+hosts.  `compile_columns`, for the RK4 and Newton kernels that run
+thousands of times, renders the tape as straight-line source and compiles
+it once; the kernel returns the requested values and deletes each
+temporary after its last use, so a large batch holds only the live ones.
+`compile_scaled`, behind every sampled zero test, evaluates its expression
+once, so it runs the tape directly, with no source text and no `exec`: the
+same operators and functions in the same order, so the same bits.  It also
+returns per row the largest |subterm|, which sets the relative tolerance,
+and a mask of the rows where every subterm is finite, which are the rows
+the tree walk `expr.evaluate` can evaluate.
 
 Every RK4 integration goes through `rk4_march`, which steps the columns of a
 batch together.  A row that leaves the guard bounds or turns non-finite is
@@ -35,26 +38,23 @@ residual is below tol, its start or its Jacobian is non-finite, its
 Jacobian is singular, its line search finds no decrease down to a step of
 2**-12, or it has used max_iter iterations.  A row's iterates are the same
 bits a single-point solve gives it, because every operation is elementwise
-or per row: the row norms take the same dot product `np.linalg.norm` takes,
-the stacked `np.linalg.solve` runs the same LAPACK solve per matrix, and
-the kernels are compiled with `scalar_pow`, so an integer power takes the
-C library's pow, as a numpy scalar does, rather than numpy's vectorised
-power, which differs from it in the last bit on some CPUs.  A stacked solve
-raises for the whole stack when one matrix is singular; that iteration then
-solves row by row, and only the singular rows stop.  A long batch runs in
-blocks of BLOCK_ROWS rows.
+or per row: the row norms take the same dot product `np.linalg.norm`
+takes, and the stacked `np.linalg.solve` runs the same LAPACK solve per
+matrix.  A stacked solve raises for the whole stack when one matrix is
+singular; that iteration then solves the other matrices as one stack and
+the singular candidates one by one, and only the singular rows stop.  A
+long batch runs in blocks of BLOCK_ROWS rows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expression, Unary, Var, const_float
+from .expr import Const, Expression, Unary, Var, const_float, int_power
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # the Python operators behind _SYMBOLS, as the rendered source applies them
@@ -78,7 +78,7 @@ def _fold(op: str, q, a: float, b: float = 0.0) -> float:
         if op == "neg":
             v = -a
         elif op == "pow":
-            v = a ** int(q) if q.denominator == 1 else np.float_power(a, float(q))
+            v = int_power(a, int(q)) if q.denominator == 1 else np.float_power(a, float(q))
         elif op in _BINARY:
             v = _BINARY[op](a, b)
         else:
@@ -180,25 +180,25 @@ class _Emitter:
             self.tape.append(entry)
         return k
 
-    def _code(self, entry: tuple, scalar_pow: bool) -> str:
+    def _code(self, entry: tuple) -> str:
         op, a, b = entry
         if op == "col":
             return f"Z[{a}]"
         if op == "neg":
             return f"-t{a}"
         if op == "pow":
-            return f"_pow(t{a}, {b})" if scalar_pow else f"t{a}**{b}"
+            return f"_pow(t{a}, {b})"
         if op == "float_power":
             return f"_np.float_power(t{a}, {b!r})"
         if b is None:
             return f"_np.{op}(t{a})"
         return f"{self.text(a)}{_SYMBOLS[op]}{self.text(b)}"
 
-    def source(self, returns: str, keep: set, scalar_pow: bool = False) -> str:
+    def source(self, returns: str, keep: set) -> str:
         """The tape as the body of _f(Z) returning `returns`.  Every
         temporary not in `keep`, the set of those returned, is deleted after
         its last use, so that a batch holds only the live ones, as a nested
-        expression would.  With scalar_pow, integer powers call `_pow`."""
+        expression would.  Integer powers call `_pow`, which is `int_power`."""
         last = {}
         for i, (op, a, b) in enumerate(self.tape):
             if op != "col":
@@ -209,7 +209,7 @@ class _Emitter:
         for t, i in last.items():
             if t not in keep:
                 dead.setdefault(i, []).append(f"t{t}")
-        body = "".join(f"    t{i} = {self._code(entry, scalar_pow)}\n" + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
+        body = "".join(f"    t{i} = {self._code(entry)}\n" + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
                        for i, entry in enumerate(self.tape))
         return f"def _f(Z):\n{body}    return {returns}\n"
 
@@ -222,7 +222,7 @@ class _Emitter:
             elif op in _BINARY:
                 t.append(_BINARY[op](t[a] if a.__class__ is int else a, t[b] if b.__class__ is int else b))
             elif op == "pow":
-                t.append(t[a] ** b)
+                t.append(int_power(t[a], b))
             elif op == "neg":
                 t.append(-t[a])
             elif op == "float_power":
@@ -232,33 +232,19 @@ class _Emitter:
         return t
 
 
-def _scalar_pow(x, k: int):
-    """x ** k with the bits a numpy scalar gets: the C library's pow, row
-    by row, where numpy's vectorised power may differ in the last bit."""
-    if x.__class__ is not np.ndarray:
-        return x ** k
-    flat = x.ravel().tolist()
-    try:
-        out = np.fromiter(map(math.pow, flat, repeat(float(k))), float, len(flat))
-    except (OverflowError, ValueError):
-        # math.pow raises where pow overflows or divides by zero; a numpy
-        # scalar gives inf there instead
-        out = np.array([np.float64(v) ** k for v in flat], dtype=float)
-    return out.reshape(x.shape)
-
-
-def compile_columns(exprs: Sequence[Expression], scalar_pow: bool = False) -> Callable[[Sequence], tuple]:
+def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
     """Compile expressions into a column kernel f(Z) -> (e_1, ..., e_k), where
-    Z[i] is the column of coordinate i + 1.  With scalar_pow, an integer
-    power of a column takes each row through the C library's pow
-    (`_scalar_pow`), so a row of a batch gets the bits of a single point;
-    the Newton kernels need that.  The kernel sets no error state: callers
-    run it under np.errstate."""
+    Z[i] is the column of coordinate i + 1.  An integer power is a chain of
+    multiplications (`int_power`) and every other operation is elementwise,
+    so a polynomial kernel gives a row of a batch the bits of the same point
+    alone, on every host; numpy's exp, log, sin and cos may still differ
+    between hosts.  The kernel sets no error state: callers run it under
+    np.errstate."""
     em = _Emitter()
     outs = [em.emit(e) for e in exprs]
     keep = {o for o in outs if o.__class__ is int}
-    src = em.source(f"({''.join(em.text(o) + ', ' for o in outs)})", keep, scalar_pow)
-    ns: dict = {"_np": np, "_pow": _scalar_pow}
+    src = em.source(f"({''.join(em.text(o) + ', ' for o in outs)})", keep)
+    ns: dict = {"_np": np, "_pow": int_power}
     exec(src, ns)
     fn = ns["_f"]
     fn.source = src
@@ -305,10 +291,9 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
     return run
 
 
-def compile_components(exprs: Sequence[Expression], scalar_pow: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k);
-    scalar_pow as in compile_columns."""
-    kernel = compile_columns(exprs, scalar_pow)
+def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k)."""
+    kernel = compile_columns(exprs)
 
     def run(Z):
         Z = np.asarray(Z, dtype=float)
@@ -321,13 +306,12 @@ def compile_components(exprs: Sequence[Expression], scalar_pow: bool = False) ->
     return run
 
 
-def compile_matrix(entries: Sequence[Sequence[Expression]], scalar_pow: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a grid of expressions into f(Z) -> (..., rows, cols);
-    scalar_pow as in compile_columns."""
+def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a grid of expressions into f(Z) -> (..., rows, cols)."""
     rows = len(entries)
     cols = len(entries[0])
     flat = [e for row in entries for e in row]
-    fn = compile_components(flat, scalar_pow)
+    fn = compile_components(flat)
 
     def run(Z: np.ndarray) -> np.ndarray:
         vals = fn(Z)
@@ -478,14 +462,18 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 def solve_rows(J: np.ndarray, b: np.ndarray) -> tuple:
     """Solve J[i] x[i] = b[i] for every row; returns (x, solved).  A stacked
-    solve raises when one matrix is singular, so then every row is solved
-    alone and only the singular ones are marked unsolved."""
+    solve raises when one matrix is singular.  Then the rows whose
+    determinant is nonzero are solved as one stack, and the others alone,
+    and only the singular ones are marked unsolved: a zero LU pivot makes
+    the determinant exactly 0, an overflowing LU makes it nan."""
+    solved = np.ones(len(b), dtype=bool)
     try:
-        return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+        return np.linalg.solve(J, b[..., None])[..., 0], solved
     except np.linalg.LinAlgError:
         x = np.zeros_like(b)
-        solved = np.ones(len(b), dtype=bool)
-        for i in range(len(b)):
+        alone = ~(np.abs(np.linalg.det(J)) > 0)
+        x[~alone] = np.linalg.solve(J[~alone], b[~alone, :, None])[..., 0]
+        for i in np.flatnonzero(alone):
             try:
                 x[i] = np.linalg.solve(J[i], b[i])
             except np.linalg.LinAlgError:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .expr import Expression
+from .expr import Expression, int_power
 from .fields import VectorField, divergence, lie_derivative
 from .numeric import compile_columns, rk4_path
 
@@ -173,7 +173,7 @@ def tower_fd_oracle(F: VectorField, z: Sequence[float], order: int, h: float = O
         raise ValueError("oracle supports orders 0..4")
     if h <= 0:
         raise ValueError("step must be positive")
-    if h**max(order, 1) == 0.0:
+    if int_power(h, max(order, 1)) == 0.0:
         raise ValueError("stencil underflow: step too small")
     div_fn, f, lo, hi = _oracle_kernels(F)
     reach = max(abs(k) for k in _STENCILS[order])
@@ -196,4 +196,4 @@ def tower_fd_oracle(F: VectorField, z: Sequence[float], order: int, h: float = O
             if not np.isfinite(value):
                 raise TrajectoryEscape("divergence not finite along the stencil")
             acc += coeff * value
-    return acc / h**order if order > 0 else acc
+    return acc / int_power(h, order) if order > 0 else acc

@@ -233,8 +233,8 @@ class TestCriticalPoints:
         from symflow.numeric import compile_components, compile_matrix
 
         F = field2("x^2 + y^3", "sqrt(y) - x", box=DomainBox.cube(-2, 2, 2))
-        f = compile_components(F.components, scalar_pow=True)
-        jac = compile_matrix(jacobian(F).entries, scalar_pow=True)
+        f = compile_components(F.components)
+        jac = compile_matrix(jacobian(F).entries)
         # a degenerate root, a singular Jacobian at the origin, a non-finite
         # residual (y < 0) and ordinary starts
         X = np.array([[1e-4, 1e-8], [0.0, 0.0], [0.5, -1.0], [0.3, 0.2], [-0.7, 0.4]])

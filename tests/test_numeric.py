@@ -1,6 +1,8 @@
 """The column kernels, the one RK4 marcher and the one batched Newton solver
 in symflow.numeric."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +21,7 @@ from symflow.numeric import (
     newton_batch,
     rk4_march,
     rk4_variational,
+    solve_rows,
 )
 from symflow.parser import parse
 
@@ -77,11 +80,14 @@ class TestColumnKernels:
         assert np.array_equal(f(Z.reshape(7, 1, 2)), out.reshape(7, 1, 2))
 
     def test_single_point(self):
-        f = compile_components(field2(*PENDULUM).components)
-        Z = np.random.default_rng(1).uniform(-2, 2, (5, 2))
-        batch = f(Z)
-        for row, z in zip(batch, Z):
-            assert np.array_equal(f(z), row)
+        # integer powers of 3 and more go through the same chain of
+        # multiplications on a batch and on a point
+        for F in (field2(*PENDULUM), field2("x^3 + y^5 - 3*x*y^4", "x^-3*y^2 - (x + y)^7")):
+            f = compile_components(F.components)
+            Z = np.random.default_rng(1).uniform(-2, 2, (5, 2))
+            batch = f(Z)
+            for row, z in zip(batch, Z):
+                assert np.array_equal(f(z), row)
 
     def test_matrix_keeps_row_major_columns(self):
         F = field2("x^2*y", "x - y^3")
@@ -262,7 +268,7 @@ def assert_same_rows(got, want):
 
 
 def kernels(comps, entries):
-    return compile_components(comps, scalar_pow=True), compile_matrix(entries, scalar_pow=True)
+    return compile_components(comps), compile_matrix(entries)
 
 
 class TestNewtonBatch:
@@ -303,6 +309,33 @@ class TestNewtonBatch:
         assert_same_rows((x, ok, r), newton_rows(f, jac, seeds))
         assert list(ok) == [True, False, True, True]
         assert np.array_equal(x[1], seeds[1]) and r[1] > 1.0
+
+    def test_singular_matrices_alone_are_solved_one_by_one(self, monkeypatch):
+        # three exactly singular matrices among 50: the others are solved as
+        # one stack, with the bits of a solve of each matrix alone
+        rng = np.random.default_rng(9)
+        J = rng.uniform(-2, 2, (50, 3, 3))
+        b = rng.uniform(-1, 1, (50, 3))
+        J[4, 2] = J[4, 0]  # a repeated row
+        J[23, :, 1] = 0.0  # a zero column
+        J[49, 1] = 0.0  # a zero row
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J, b[..., None])
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        x, solved = solve_rows(J, b)
+        monkeypatch.undo()
+        # the whole stack, the 47 others as one stack, then the 3 alone
+        assert len(calls) == 5
+        want = np.zeros_like(b)
+        for i in range(50):
+            try:
+                want[i] = np.linalg.solve(J[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        assert np.flatnonzero(~solved).tolist() == [4, 23, 49]
+        assert x.tobytes() == want.tobytes()
 
     def test_stalled_line_search(self):
         # a Jacobian of the wrong sign points every step uphill
@@ -363,23 +396,23 @@ class TestNewtonBatch:
         assert_same_rows(whole, newton_rows(f, jac, seeds, target))
 
 
-class TestScalarPow:
+class TestIntPower:
     def test_rows_get_single_point_bits(self):
         comps = [parse("x^3*y^-2 + x^2 - 3*y^4", 2), parse("(x + y)^5 - x^-1", 2)]
-        f = compile_components(comps, scalar_pow=True)
+        f = compile_components(comps)
         Z = np.random.default_rng(4).uniform(-3, 3, (400, 2))
         batch = f(Z)
         single = np.array([f(z) for z in Z])
         assert batch.tobytes() == single.tobytes()
 
     def test_overflow_and_zero_division_give_inf(self):
-        f = compile_components([parse("x^3", 1), parse("x^-1", 1)], scalar_pow=True)
+        f = compile_components([parse("x^3", 1), parse("x^-1", 1)])
         Z = np.array([[1e200], [0.0], [2.0]])
         out = f(Z)
         assert out[0, 0] == np.inf and out[1, 1] == np.inf
         assert out.tobytes() == np.array([f(z) for z in Z]).tobytes()
 
-    def test_default_kernels_keep_numpy_power(self):
-        src = compile_columns([parse("x^3", 1)]).source
-        assert "t0**3" in src and "_pow" not in src
-        assert "_pow(t0, 3)" in compile_columns([parse("x^3", 1)], scalar_pow=True).source
+    def test_no_integer_power_is_rendered_with_numpy_power(self):
+        e = parse("x^3 + y^-2 + x^2*y^5 + sqrt(x)^(1/2)", 2)
+        src = compile_columns([e]).source
+        assert re.search(r"\*\*\s*-?\d", src) is None and "_pow(" in src

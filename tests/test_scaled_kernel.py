@@ -3,8 +3,9 @@
 `numeric.compile_scaled` replaces a per-point tree walk in every sampled
 zero test, so it must fail exactly the rows where the walk raises
 EvaluationError, and agree with it on the value and on the scale (the
-largest |subterm|) to a few ulps: numpy's exp, log and integer powers are
-not always libm's.
+largest |subterm|) to a few ulps: numpy's exp, log and fractional powers
+are not always libm's.  On trees of + - * / and integer powers the two
+agree bit for bit, since both take integer powers by `expr.int_power`.
 """
 
 import math
@@ -125,6 +126,62 @@ X, Y = Var(1), Var(2)
 )
 def test_fixed_cases(e):
     assert_matches_walk(e, POINTS)
+
+
+def rational_trees(max_leaves=12):
+    """Trees over + - * / and integer powers only, in two variables."""
+    return st.recursive(
+        st.one_of(_consts, _vars),
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+            st.builds(lambda b, k: Binary("pow", b, Const(k)), children, st.integers(-4, 7)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def assert_walks_bits(e, points):
+    """The kernel's value is the tree walk's, bit for bit, on every row
+    the walk can evaluate."""
+    value, _, ok = compile_scaled(e)(points.T)
+    for i, p in enumerate(points):
+        ref = walk(e, tuple(p))
+        assert ok[i] == (ref is not None), (str(e), p)
+        if ref is not None:
+            assert value[i].tobytes() == np.float64(ref[0]).tobytes(), (str(e), p)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        pow_(X, 3),
+        sub(add(pow_(X, 3), pow_(Y, 5)), mul(Const(3), mul(X, pow_(Y, 4)))),
+        pow_(add(X, Y), 7),
+        div(pow_(X, -3), pow_(Y, 2)),
+        pow_(sub(X, Y), -5),
+        add(pow_(X, 0), pow_(div(X, Y), 6)),
+    ],
+    ids=str,
+)
+def test_rational_cases_give_the_tree_walks_bits(e):
+    assert_walks_bits(e, POINTS)
+
+
+@given(rational_trees())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_rational_trees_give_the_tree_walks_bits(e):
+    assert_walks_bits(e, POINTS)
+
+
+@pytest.mark.parametrize("e, x", [(pow_(X, 3), 1e200), (pow_(X, -2), 1e-200)], ids=str)
+def test_power_overflow_fails_the_row(e, x):
+    # the chain gives inf without raising, and a negative power whose chain
+    # underflows to 0 divides by zero: the walk raises, the kernel masks
+    with pytest.raises(EvaluationError, match="pow overflow"):
+        evaluate(e, (x, 1.0))
+    _, _, ok = compile_scaled(e)(np.array([[x, 2.0], [1.0, 1.0]]))
+    assert ok.tolist() == [False, True]
 
 
 def test_constant_scale_and_value():
