@@ -9,6 +9,7 @@ the integrator bias and leaves only the structural mismatch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .fields import SmoothMap, VectorField, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_columns, compile_components, rk4_march, rk4_path, rk4_variational
+from .numeric import compile_columns, compile_components, into_rows, rk4_march, rk4_path, rk4_variational
 from .verdict import CheckKind, Verdict, threshold_verdict
 
 TOL_FLOW = 1e-5
@@ -35,10 +36,12 @@ class IntegratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # the comparisons are false for nan; an infinite step would march
+        # one step of the whole horizon, an infinite horizon no step count
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def integrate(F: VectorField, z0: Sequence[float], cfg: IntegratorConfig) -> Tra
     h = cfg.horizon / steps
 
     # path[k, i, row]: coordinate i after k steps, forward in row 0, backward in row 1
-    path, died = rk4_path(compile_columns(F.components), np.stack([z0, z0], axis=-1),
+    path, died = rk4_path(into_rows(compile_columns(F.components)), np.stack([z0, z0], axis=-1),
                           np.array([h, -h]), steps, guard.lows, guard.highs)
 
     def direction(row):
@@ -119,6 +122,8 @@ def check_flow_relation(
     Both trajectories use identical step counts.  Samples whose trajectories
     escape are skipped and counted; more than half skipped is inconclusive.
     """
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     box = sample_box or F.domain
     sig = compile_components(sigma.components)
@@ -137,13 +142,12 @@ def check_flow_relation(
     due_at = np.concatenate([ks, ks])
     picked = np.full_like(start, np.nan)
 
-    def pick(k, z, alive):
+    def pick(k, state, alive):
         due = alive & (due_at == k)
         if due.any():
-            for i, col in enumerate(z):
-                picked[due, i] = col[due]
+            picked[due] = state[:, due].T
 
-    rk4_march(compile_columns(F.components), start.T, steps, steps_total,
+    rk4_march(into_rows(compile_columns(F.components)), start.T, steps, steps_total,
               guard.lows, guard.highs, on_step=pick)
     lhs = sig(picked[:samples])
     rhs = picked[samples:]
@@ -179,6 +183,8 @@ def check_liouville(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if mc_points <= 0:
+        raise ValueError("mc_points must be positive")
     rng = np.random.default_rng(seed)
     f = compile_columns(F.components)
     jac_fn = compile_columns([e for row in jacobian(F).entries for e in row])

@@ -25,11 +25,21 @@ returns per row the largest |subterm|, which sets the relative tolerance,
 and a mask of the rows where every subterm is finite, which are the rows
 the tree walk `expr.evaluate` can evaluate.
 
-Every RK4 integration goes through `rk4_march`, which steps the columns of a
-batch together.  A row that leaves the guard bounds or turns non-finite is
-masked at its own step; the arithmetic is elementwise, so a row's states are
-the same bits whether it is marched alone or in a batch.  The variational
-equation is marched as an augmented column system (`variational_kernel`).
+Every RK4 integration goes through `rk4_march`, which marches one stacked
+state: a C-contiguous array with one row per component and one column per
+point.  A block of BLOCK_ROWS points allocates its stage buffers once, two
+stage derivatives, one stage input and one accumulator, and every stage
+combination is one whole-array ufunc call with `out=`, so a step allocates
+no temporaries.  The derivative f(y, out) writes F at the state y into out;
+`into_rows` makes one from a column kernel by copying the kernel's values,
+so the march never writes into a kernel's output nor into the caller's
+arrays.  on_step sees the march's own state, which the next step
+overwrites: a caller that keeps it copies it.  A point that leaves the
+guard bounds or turns non-finite is masked at its own step; the arithmetic
+is elementwise, so a point's states are the same bits whether it is marched
+alone or in a batch.  The variational equation is marched as an augmented
+state whose derivative (`variational_kernel`) writes F and J_F J straight
+into the stage buffer.
 
 Every Newton solve goes through `newton_batch`, damped Newton on the rows of
 a seed array at once.  Each row keeps its own residual target (the
@@ -321,13 +331,27 @@ def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Runge-Kutta: one classic fixed-step RK4 marcher over columns
+# Runge-Kutta: one classic fixed-step RK4 marcher over a stacked state
 # ---------------------------------------------------------------------------
 
-# rows per block of a long march: a few dozen columns of this length stay in
-# a 2 MiB L2 cache, and on a 2-vCPU Xeon a 100k-row variational march runs
-# twice as fast in such blocks as in one piece
+# points per block of a long march: the state and the four stage buffers of
+# a few dozen components at this length stay in a 2 MiB L2 cache, and on a
+# 2-vCPU Xeon a 100k-point variational march runs twice as fast in such
+# blocks as in one piece
 BLOCK_ROWS = 4096
+
+
+def into_rows(kernel: Callable) -> Callable:
+    """A column kernel (`compile_columns`) as the derivative rk4_march
+    takes: f(y, out) writes the kernel's values at the state y into the
+    rows of out.  A value may be a Python float (a constant component) or
+    one of y's own rows; it is copied, never kept."""
+
+    def f(y, out):
+        for row, v in zip(out, kernel(y)):
+            row[...] = v
+
+    return f
 
 
 def rk4_march(
@@ -339,86 +363,119 @@ def rk4_march(
     hi: Optional[Sequence[float]] = None,
     on_step: Optional[Callable] = None,
 ) -> tuple:
-    """March the columns z = (z_1, ..., z_m) of dz/dt = f(z) by `steps`
-    classic RK4 steps of size h, a float or an array giving each row its own
-    step (its sign sets the direction).
+    """March the state z of dz/dt = F(z) by `steps` classic RK4 steps of
+    size h, a float or an array giving each point its own step (its sign
+    sets the direction).  z[i] holds component i over the points: z is an
+    array of shape (m, ...) or a sequence of m equal-shape columns, and a
+    point is one index into the trailing axes.  f(y, out) writes F at the
+    state y into out, both of shape (m, ...); `into_rows` makes one from a
+    column kernel.
 
-    With guard bounds lo, hi (one pair per leading column), a row is masked
-    at the first step whose state leaves [lo, hi]; a non-finite state fails
-    every comparison, so it is masked too.  Masked rows keep being stepped,
-    which leaves the other rows alone, and the march stops once every row is
-    masked.  on_step(k, z, alive) runs after each step k = 1, 2, ...
-    Without it, a long batch of rows (one-dimensional columns) is marched in
-    blocks of BLOCK_ROWS rows, one block after another.
+    The march copies z once into its own C-contiguous state and keeps, per
+    block, two stage-derivative buffers, one stage-input buffer and one
+    accumulator; every stage combination is one ufunc call into one of them,
+    with the operations of a column-by-column RK4 step in the same order, so
+    every state has the same bits.  It never writes into z.
 
-    Returns (z, died): died holds, per row, the step at which the row was
-    masked, 0 for rows that never were; a masked row's state is unspecified.
-    Runs under np.errstate(all="ignore").
+    With guard bounds lo, hi (one pair per leading component), a point is
+    masked at the first step whose state leaves [lo, hi]; a non-finite
+    state fails every comparison, so it is masked too.  Masked points keep
+    being stepped, which leaves the other points alone, and the march stops
+    once every point is masked.  on_step(k, state, alive) runs after each
+    step k = 1, 2, ... with the march's own state, which the next step
+    overwrites: a caller that keeps it copies it.  Without on_step, a long
+    one-dimensional batch is marched in blocks of BLOCK_ROWS points, one
+    block after another.
+
+    Returns (z, died): the final state, of shape (m, ...), and per point the
+    step at which the point was masked, 0 for points that never were; a
+    masked point's state is unspecified.  Runs under np.errstate(all="ignore").
     """
-    z = list(z)
-    rows = np.broadcast_shapes(np.shape(z[0]), np.shape(h))
-    if on_step is None and len(rows) == 1 and rows[0] > BLOCK_ROWS:
+    z = np.asarray(z, dtype=float)
+    points = np.broadcast_shapes(z.shape[1:], np.shape(h))
+    if on_step is None and len(points) == 1 and points[0] > BLOCK_ROWS:
         blocks = [
-            rk4_march(f, [c[i : i + BLOCK_ROWS] for c in z],
+            rk4_march(f, z[:, i : i + BLOCK_ROWS],
                       h if np.ndim(h) == 0 else h[i : i + BLOCK_ROWS], steps, lo, hi)
-            for i in range(0, rows[0], BLOCK_ROWS)
+            for i in range(0, points[0], BLOCK_ROWS)
         ]
-        cols = [np.concatenate([b[0][j] for b in blocks]) for j in range(len(z))]
-        return cols, np.concatenate([b[1] for b in blocks])
+        return np.concatenate([b[0] for b in blocks], axis=1), np.concatenate([b[1] for b in blocks])
+    # a single point marches as a batch of one, so every state row is an array
+    state = np.empty(z.shape[:1] + (points or (1,)))
+    state[...] = z if points else z[:, None]
+    z, shaped = state, state.reshape(z.shape[:1] + points)
+    # k1 and k3 go to ka, k2 and k4 to kb; y is the stage input, s the sum
+    ka, kb, y, s = (np.empty_like(z) for _ in range(4))
     half, sixth = 0.5 * h, h / 6.0
-    died = np.zeros(rows, dtype=int)
+    if lo is not None:
+        bounds = (-1,) + (1,) * (z.ndim - 1)
+        lo = np.reshape(np.asarray(lo, dtype=float), bounds)
+        hi = np.reshape(np.asarray(hi, dtype=float), bounds)
+        guarded = z[: len(lo)]
+    died = np.zeros(z.shape[1:], dtype=int)
     alive = died == 0
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            k1 = f(z)
-            k2 = f([a + half * b for a, b in zip(z, k1)])
-            s = [a + 2.0 * b for a, b in zip(k1, k2)]
-            k3 = f([a + half * b for a, b in zip(z, k2)])
-            s = [a + 2.0 * b for a, b in zip(s, k3)]
-            k4 = f([a + h * b for a, b in zip(z, k3)])
-            z = [a + sixth * (b + c) for a, b, c in zip(z, s, k4)]
+            f(z, ka)
+            np.multiply(half, ka, out=y)
+            np.add(z, y, out=y)
+            f(y, kb)
+            np.multiply(2.0, kb, out=s)
+            np.add(ka, s, out=s)
+            np.multiply(half, kb, out=y)
+            np.add(z, y, out=y)
+            f(y, ka)
+            np.multiply(2.0, ka, out=kb)
+            np.add(s, kb, out=s)
+            np.multiply(h, ka, out=y)
+            np.add(z, y, out=y)
+            f(y, kb)
+            np.add(s, kb, out=s)
+            np.multiply(sixth, s, out=s)
+            np.add(z, s, out=z)
             if lo is not None:
-                ok = alive.copy()
-                for col, low, high in zip(z, lo, hi):
-                    ok &= (col >= low) & (col <= high)
+                ok = alive & ((guarded >= lo) & (guarded <= hi)).all(axis=0)
                 died[alive & ~ok] = k
                 alive = ok
             if on_step is not None:
-                on_step(k, z, alive)
+                on_step(k, shaped, alive.reshape(points))
             if not alive.any():
                 break
-    return z, died
+    return shaped, died.reshape(points)
 
 
 def rk4_path(f: Callable, z: Sequence, h, steps: int, lo=None, hi=None) -> tuple:
     """rk4_march keeping every state: returns (path, died), where path[k]
-    holds the columns after step k as one array (path[0] is z), up to the
-    step at which the march stopped."""
+    is a copy of the state after step k (path[0] is z), up to the step at
+    which the march stopped."""
     path = [np.array(z, dtype=float)]
     _, died = rk4_march(f, path[0], h, steps, lo, hi,
-                        on_step=lambda k, cols, alive: path.append(np.array(cols)))
+                        on_step=lambda k, state, alive: path.append(state.copy()))
     return np.stack(path), died
 
 
 def variational_kernel(f: Callable, jac: Callable, n: int) -> Callable:
-    """Column kernel of the variational system z' = F(z), J' = J_F(z) J over
-    the columns (z_1, ..., z_n, J_11, J_12, ..., J_nn), J row-major, from the
-    column kernels of F and of its row-major Jacobian.  J_F J is written out
-    as n x n column products summed left to right over the inner index;
-    constant Jacobian entries stay Python floats."""
+    """The derivative f(y, out) of the variational system z' = F(z),
+    J' = J_F(z) J over the state rows (z_1, ..., z_n, J_11, J_12, ..., J_nn),
+    J row-major, from the column kernels of F and of its row-major Jacobian.
+    F goes to out's first n rows.  Row i of J_F J is written into its n
+    rows of out as the sum over k of J_F[i, k] times row k of J, left to
+    right over k, so each entry is the column-by-column sum; constant
+    Jacobian entries stay Python floats."""
+    write_f = into_rows(f)
 
-    def g(y):
+    def g(y, out):
         z, J = y[:n], y[n:]
+        write_f(z, out)
         A = jac(z)
-        out = list(f(z))
+        term = np.empty((n,) + y.shape[1:])
         for i in range(n):
-            row = A[i * n : (i + 1) * n]
-            for j in range(n):
-                acc = row[0] * J[j]
-                for k in range(1, n):
-                    acc = acc + row[k] * J[k * n + j]
-                out.append(acc)
-        return out
+            a = A[i * n : (i + 1) * n]
+            acc = out[n + i * n : n + (i + 1) * n]
+            np.multiply(a[0], J[:n], out=acc)
+            for k in range(1, n):
+                np.multiply(a[k], J[k * n : (k + 1) * n], out=term)
+                np.add(acc, term, out=acc)
 
     return g
 
@@ -439,9 +496,10 @@ def rk4_variational(
     """
     z = np.asarray(z0, dtype=float)
     n = z.shape[-1]
-    eye = [np.full(z.shape[:-1], float(i == j)) for i in range(n) for j in range(n)]
-    g = variational_kernel(f, jac, n)
-    y, _ = rk4_march(g, [*np.moveaxis(z, -1, 0), *eye], t_total / steps, steps)
+    y = np.empty((n + n * n,) + z.shape[:-1])
+    y[:n] = np.moveaxis(z, -1, 0)
+    y[n:] = np.eye(n).reshape((n * n,) + (1,) * (z.ndim - 1))
+    y, _ = rk4_march(variational_kernel(f, jac, n), y, t_total / steps, steps)
     zT = np.stack(y[:n], axis=-1)
     JT = np.stack(y[n:], axis=-1).reshape(z.shape[:-1] + (n, n))
     return zT, JT

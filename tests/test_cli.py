@@ -119,6 +119,18 @@ class TestCheckCommand:
         spec = write(tmp_path, "nosig.spec", "dim=2\nF1=x\nF2=y\n")
         assert main(["check", spec, "--kind", "symmetry"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--horizon", "inf"), ("--horizon", "nan"),
+                                             ("--step", "nan"), ("--step", "inf")])
+    def test_non_finite_integrator_setting_is_usage_error(self, tmp_path, capsys, flag, value):
+        spec = write(tmp_path, "l.spec", LIENARD)
+        assert main(["check", spec, "--kind", "reversibility", "--flow", flag, value]) == 2
+        assert capsys.readouterr().err == f"symflow: {flag[2:]} must be positive and finite\n"
+
+    def test_negative_samples_is_usage_error(self, tmp_path, capsys):
+        spec = write(tmp_path, "l.spec", LIENARD)
+        assert main(["check", spec, "--kind", "reversibility", "--flow", "--samples", "-3"]) == 2
+        assert capsys.readouterr().err == "symflow: samples must be positive\n"
+
     def test_parse_error_exit_two(self, tmp_path):
         spec = write(tmp_path, "broken.spec", "dim=2\nF1=y +\nF2=-x\nS1=-x\nS2=y\n")
         assert main(["check", spec, "--kind", "symmetry"]) == 2

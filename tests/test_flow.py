@@ -13,7 +13,7 @@ from symflow.flow import (
     trajectory_to_csv,
 )
 from symflow.geometry import DomainBox
-from symflow.numeric import compile_columns, rk4_march
+from symflow.numeric import compile_columns, into_rows, rk4_march
 from symflow.parser import parse
 from symflow.verdict import CheckKind, Status
 
@@ -56,7 +56,7 @@ class TestIntegrate:
 
     def test_time_symmetry(self):
         F = field2("y", "-sin(x)")
-        f = compile_columns(F.components)
+        f = into_rows(compile_columns(F.components))
         z = np.array([0.5, 0.3])
         there, _ = rk4_march(f, z, 1.0 / 1000, 1000)
         back, _ = rk4_march(f, there, -1.0 / 1000, 1000)
@@ -75,6 +75,12 @@ class TestIntegrate:
         F = field2("y", "-x", box=DomainBox.cube(-1, 1, 2))
         with pytest.raises(ValueError):
             integrate(F, (5.0, 0.0), IntegratorConfig(horizon=1.0))
+
+    @pytest.mark.parametrize("setting", ["step", "horizon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_non_positive_or_non_finite(self, setting, value):
+        with pytest.raises(ValueError, match=f"^{setting} must be positive and finite$"):
+            IntegratorConfig(**{setting: value})
 
     def test_csv_export(self, tmp_path):
         F = field2("y", "-x")
@@ -114,6 +120,11 @@ class TestFlowRelation:
         )
         assert v.status is Status.HOLDS
         assert v.residual_max < 1e-5
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_non_positive_samples(self, samples):
+        with pytest.raises(ValueError, match="^samples must be positive$"):
+            check_flow_relation(field2("y", "-x"), map2("-x", "y"), CheckKind.REVERSIBILITY, samples=samples)
 
     def test_non_odd_restoring_force_fails(self):
         F = field2("y + x^2", "-(x + x^2)")
@@ -197,3 +208,9 @@ class TestLiouville:
         v = check_liouville(F, DomainBox([(0.8, 0.99), (0.8, 0.99)]), t_max=2.0,
                             mc_points=2000, seed=3)
         assert v.status in (Status.HOLDS, Status.INCONCLUSIVE)
+
+    @pytest.mark.parametrize("mc_points", [0, -5])
+    def test_rejects_non_positive_mc_points(self, mc_points):
+        F = field2("y", "-x", box=DomainBox.cube(-5, 5, 2))
+        with pytest.raises(ValueError, match="^mc_points must be positive$"):
+            check_liouville(F, DomainBox([(0.2, 0.8), (0.2, 0.8)]), mc_points=mc_points)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+import rk4_reference
 from newton_reference import damped_newton, newton_rows
 
 from symflow import expr as ex
@@ -18,9 +19,12 @@ from symflow.numeric import (
     compile_columns,
     compile_components,
     compile_matrix,
+    into_rows,
     newton_batch,
     rk4_march,
+    rk4_path,
     rk4_variational,
+    variational_kernel,
     solve_rows,
 )
 from symflow.parser import parse
@@ -100,14 +104,14 @@ class TestColumnKernels:
 class TestMarch:
     def test_same_bits_as_point_layout_reference(self):
         F = field2(*PENDULUM)
-        f, cols = compile_components(F.components), compile_columns(F.components)
+        f, cols = compile_components(F.components), into_rows(compile_columns(F.components))
         Z = np.random.default_rng(3).uniform(-1, 1, (40, 2))
         for h, steps in ((0.3 / 30, 30), (0.01, 1)):
             zT, _ = rk4_march(cols, Z.T, h, steps)
             assert np.array_equal(np.stack(zT, axis=-1), reference_rk4(f, Z, h, steps))
 
     def test_batch_rows_equal_rows_marched_alone(self):
-        f = compile_columns(field2(*PENDULUM).components)
+        f = into_rows(compile_columns(field2(*PENDULUM).components))
         Z = np.random.default_rng(5).uniform(-1, 1, (25, 2))
         h = np.where(np.arange(25) % 2 == 0, 0.01, -0.01)
         batch, _ = rk4_march(f, Z.T, h, 50)
@@ -118,7 +122,7 @@ class TestMarch:
     def test_blocks_of_a_long_batch_match_one_piece(self, monkeypatch):
         from symflow import numeric
 
-        f = compile_columns(field2(*PENDULUM).components)
+        f = into_rows(compile_columns(field2(*PENDULUM).components))
         Z = np.random.default_rng(10).uniform(-1, 1, (50, 2))
         Z[7] = np.nan
         h = np.where(np.arange(50) % 3 == 0, -0.01, 0.01)
@@ -133,7 +137,7 @@ class TestMarch:
         # x' = x^2 sqrt(1 + y) blows up from x = 0.9 inside the horizon; the
         # row at y = -1.5 turns non-finite at once through the square root;
         # the other two stay inside the guard
-        f = compile_columns(field2("x^2*sqrt(1 + y)", "-y").components)
+        f = into_rows(compile_columns(field2("x^2*sqrt(1 + y)", "-y").components))
         Z = np.array([[0.1, 0.5], [0.9, 0.2], [0.0, -1.5], [-0.2, -0.4]])
         lo, hi = [-2.0, -2.0], [2.0, 2.0]
         seen = []
@@ -153,11 +157,142 @@ class TestMarch:
         assert np.array_equal(np.stack(z)[:, [0, 3]], np.stack(free))
 
     def test_stops_once_every_row_is_masked(self):
-        f = compile_columns(field2("1", "0").components)
+        f = into_rows(compile_columns(field2("1", "0").components))
         steps = []
         _, died = rk4_march(f, np.array([[0.0, 0.5], [0.0, 0.0]]), 0.3, 100, [-1, -1], [1, 1],
                             on_step=lambda k, zs, alive: steps.append(k))
         assert list(died) == [4, 2] and steps == [1, 2, 3, 4]
+
+
+# fields for the stacked-state checks: a transcendental one, one with only
+# constant components, one whose components are the input columns
+# themselves, and one that blows up or turns non-finite inside the guard
+MARCH_FIELDS = {
+    "pendulum": PENDULUM,
+    "constant": ("1", "0"),
+    "swap": ("y", "x"),
+    "blowup": ("x^2*sqrt(1 + y)", "-y"),
+}
+
+VARIATIONAL_FIELDS = {
+    1: ("x - x^3",),
+    2: ("y + x^2 - x*y", "-sin(x) + y^2/2"),
+    3: ("y*z - x", "x^2 - 1", "sin(y) + 2"),
+    4: ("z2 - z1*z4", "z3", "z1*z2 - z4^2", "1/2 - z3"),
+}
+
+
+@st.composite
+def batches(draw, max_rows=30):
+    """Start points (rows, 2), some with a NaN coordinate, and a step: one
+    float, or one per row with mixed signs."""
+    rows = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    Z = rng.uniform(-1.5, 1.5, (rows, 2))
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        Z[r, rng.integers(2)] = np.nan
+    step = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    h = step * rng.choice([-1.0, 1.0], rows) if draw(st.booleans()) else step
+    return Z, h
+
+
+def reference_march(texts, Z, h, steps, lo=None, hi=None, on_step=None):
+    kernel = compile_columns(field2(*texts).components)
+    cols, died = rk4_reference.rk4_march(kernel, list(Z.T), h, steps, lo, hi, on_step)
+    return np.stack(cols), died
+
+
+def stacked_march(texts, Z, h, steps, lo=None, hi=None, on_step=None):
+    return rk4_march(into_rows(compile_columns(field2(*texts).components)), Z.T, h, steps, lo, hi, on_step)
+
+
+GUARD = ([-2.0, -2.0], [2.0, 2.0])
+
+
+class TestStackedMarchMatchesReference:
+    """The stacked march against the list-of-columns reference
+    (tests/rk4_reference.py): the same operations in the same order, so the
+    same bits in every state and the same `died`."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(MARCH_FIELDS)), batches(), st.integers(1, 40), st.booleans())
+    def test_states_and_died(self, name, batch, steps, guarded):
+        Z, h = batch
+        guard = GUARD if guarded else (None, None)
+        z, died = stacked_march(MARCH_FIELDS[name], Z, h, steps, *guard)
+        z_ref, died_ref = reference_march(MARCH_FIELDS[name], Z, h, steps, *guard)
+        assert z.shape == z_ref.shape and z.flags.c_contiguous
+        assert np.array_equal(z, z_ref, equal_nan=True)
+        assert np.array_equal(died, died_ref)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(MARCH_FIELDS)), batches(), st.integers(1, 30))
+    def test_on_step_sees_each_state(self, name, batch, steps):
+        Z, h = batch
+        seen, seen_ref = [], []
+        stacked_march(MARCH_FIELDS[name], Z, h, steps, *GUARD,
+                      on_step=lambda k, state, alive: seen.append((k, state.copy(), alive.copy())))
+        reference_march(MARCH_FIELDS[name], Z, h, steps, *GUARD,
+                        on_step=lambda k, cols, alive: seen_ref.append((k, np.stack(cols), alive.copy())))
+        assert [k for k, _, _ in seen] == [k for k, _, _ in seen_ref]
+        for (_, state, alive), (_, state_ref, alive_ref) in zip(seen, seen_ref):
+            assert np.array_equal(state, state_ref, equal_nan=True)
+            assert np.array_equal(alive, alive_ref)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(MARCH_FIELDS)), batches(max_rows=60), st.integers(1, 7), st.integers(1, 30))
+    def test_blocks(self, monkeypatch, name, batch, block_rows, steps):
+        # a block stops once its own rows are all masked, so only the rows
+        # that stay alive have a specified state
+        Z, h = batch
+        monkeypatch.setattr(numeric, "BLOCK_ROWS", block_rows)
+        z, died = stacked_march(MARCH_FIELDS[name], Z, h, steps, *GUARD)
+        z_ref, died_ref = reference_march(MARCH_FIELDS[name], Z, h, steps, *GUARD)
+        assert np.array_equal(died, died_ref)
+        assert np.array_equal(z[:, died == 0], z_ref[:, died == 0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(VARIATIONAL_FIELDS)), st.integers(0, 2**16), st.integers(1, 40),
+           st.integers(1, 20), st.sampled_from([0.01, -0.01, 0.05]), st.booleans())
+    def test_variational_system(self, monkeypatch, n, seed, rows, steps, h, blocked):
+        if blocked:
+            monkeypatch.setattr(numeric, "BLOCK_ROWS", 3)
+        F = VectorField([parse(t, n) for t in VARIATIONAL_FIELDS[n]], DomainBox.cube(-1, 1, n))
+        f, jac = variational_kernels(F)
+        Z = np.random.default_rng(seed).uniform(-1, 1, (rows, n))
+        T = h * steps
+        h = T / steps  # the step rk4_variational takes
+        y0 = np.concatenate([Z.T, np.repeat(np.eye(n).reshape(n * n, 1), rows, axis=1)])
+        y, _ = rk4_march(variational_kernel(f, jac, n), y0, h, steps)
+        y_ref, _ = rk4_reference.rk4_march(rk4_reference.variational_kernel(f, jac, n), list(y0), h, steps)
+        assert np.array_equal(y, np.stack(y_ref))
+        zT, JT = rk4_variational(f, jac, Z, T, steps)
+        assert np.array_equal(zT, y[:n].T) and np.array_equal(JT, y[n:].T.reshape(rows, n, n))
+
+    def test_caller_arrays_and_kernel_outputs_are_left_untouched(self):
+        Z = np.random.default_rng(11).uniform(-1, 1, (2, 9))
+        h = np.where(np.arange(9) % 2 == 0, 0.01, -0.01)
+        lo, hi = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+        kept = np.ones(9)
+        inputs = [a.copy() for a in (Z, h, lo, hi, kept)]
+        # one output is a row of the stage input, one an array the kernel owns
+        f = into_rows(lambda y: (y[1], kept))
+        z, _ = rk4_march(f, Z, h, 25, lo, hi)
+        assert all(np.array_equal(a, b) for a, b in zip((Z, h, lo, hi, kept), inputs))
+        z_ref, _ = rk4_reference.rk4_march(lambda y: (y[1], kept), list(Z), h, 25, lo, hi)
+        assert np.array_equal(z, np.stack(z_ref))
+
+    def test_rk4_path_keeps_every_state(self):
+        # each recorded state is a copy: later steps do not overwrite it
+        Z = np.random.default_rng(12).uniform(-1, 1, (6, 2))
+        path, died = rk4_path(into_rows(compile_columns(field2(*PENDULUM).components)), Z.T, 0.05, 12, *GUARD)
+        states = [Z.T]
+        reference_march(PENDULUM, Z, 0.05, 12, *GUARD,
+                        on_step=lambda k, cols, alive: states.append(np.stack(cols)))
+        assert path.shape == (13, 2, 6) and not died.any()
+        assert np.array_equal(path, np.stack(states))
 
 
 class TestVariational:
@@ -200,7 +335,7 @@ class TestIntegrateRow:
         traj = integrate(F, z0, cfg)
         Z = np.random.default_rng(9).uniform(-1, 1, (8, 2))
         Z[5] = z0
-        f = compile_columns(F.components)
+        f = into_rows(compile_columns(F.components))
         fwd, _ = rk4_march(f, Z.T, cfg.step, 50)
         bwd, _ = rk4_march(f, Z.T, -cfg.step, 50)
         assert traj.final_state() == tuple(np.stack(fwd)[:, 5])
