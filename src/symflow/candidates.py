@@ -3,7 +3,10 @@
 Candidates come from inverting the packed derivative map pointwise: if a
 measure-preserving symmetry or reversibility exists, its image at z solves
 Delta(w) = S Delta(z) with S the identity (symmetry) or the selection's sign
-matrix (reversibility).  The planar predator-prey and damped-oscillator
+matrix (reversibility).  That equation can have several roots, so each root
+is held to the tower law at the two orders past the selection: a symmetry
+keeps every divergence derivative, D_j(w) = D_j(z), and a reversibility
+negates the even orders.  The planar predator-prey and damped-oscillator
 families additionally admit exact classifications with explicit maps.
 """
 
@@ -23,7 +26,7 @@ from .fields import SmoothMap, VectorField, is_involution, is_measure_preserving
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, compile_matrix, newton_batch, row_norms
 from .parser import parse
-from .tower import Selection, build_tower, delta_map, sign_matrix
+from .tower import Selection, build_tower, delta_map
 from .verdict import Certainty, CheckKind, Witness
 
 NEWTON_TOL = 1e-10
@@ -48,28 +51,27 @@ class DeltaRoot:
     point: Point
     residual: float
     trivial: bool  # w == z, always present for the symmetry equation
+    consistent: bool  # D_j(w) = s_j D_j(z) at orders max_order + 1 and + 2
 
 
 class _DeltaSolver:
     """Compiled machinery for solving Delta(w) = S Delta(z), batched over
-    points."""
+    points, and for checking each root against the tower law."""
 
     def __init__(self, F: VectorField, selection: Selection, kind: CheckKind):
-        tower = build_tower(F, selection.max_order)
+        m = selection.max_order
+        tower = build_tower(F, m + 2)
         delta = delta_map(tower, selection)
         n = delta.dimension
-        self.field = F
-        self.kind = kind
-        self.delta = delta
         self.fn = compile_components(delta.components)
         self.jac = compile_matrix(
             [[ex.differentiate(c, j + 1) for j in range(n)] for c in delta.components]
         )
-        self.signs = (
-            sign_matrix(selection).as_array()
-            if kind is CheckKind.REVERSIBILITY
-            else np.ones(n)
-        )
+        self.signs = np.array([kind.tower_sign(j) for j in selection.entries], dtype=float)
+        # on the fixed line of a reversibility the even order m + 1 or m + 2
+        # vanishes at every root, so the law needs both orders
+        self.law = compile_components(tower.orders[m + 1:])
+        self.law_signs = np.array([kind.tower_sign(j) for j in (m + 1, m + 2)], dtype=float)
 
     def singular(self, Z: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
         """Per point of Z (m, n): is |det J_Delta| below tol (1 + max |J|)?"""
@@ -83,7 +85,9 @@ class _DeltaSolver:
         """Per point z of Z (m, n), the roots of Delta(w) = S Delta(z) that
         Newton reaches from the seeds and from z, all in one batched solve.
         A point's roots are its converged rows in seed order, less those
-        within TRIVIAL_TOL of a root already kept, sorted by coordinates."""
+        within TRIVIAL_TOL of a root already kept, sorted by coordinates.
+        A root is consistent when |D_j(w) - s_j D_j(z)| is at most
+        CONSISTENCY_TOL (1 + max(|D_j(w)|, |D_j(z)|)) at both law orders."""
         m, n = Z.shape
         k = len(seeds) + 1
         starts = np.empty((m, k, n))
@@ -95,6 +99,9 @@ class _DeltaSolver:
         ok &= r < newton_tol
         W, ok, r = W.reshape(m, k, n), ok.reshape(m, k), r.reshape(m, k)
         trivial = row_norms(W - Z[:, None, :]) < TRIVIAL_TOL
+        DW, DZ = self.law(W), (self.law_signs * self.law(Z))[:, None, :]
+        with np.errstate(all="ignore"):
+            lawful = (np.abs(DW - DZ) <= CONSISTENCY_TOL * (1 + np.maximum(np.abs(DW), np.abs(DZ)))).all(axis=-1)
         out = []
         for i in range(m):
             rows = np.flatnonzero(ok[i])
@@ -104,18 +111,11 @@ class _DeltaSolver:
             for a in range(len(rows)):
                 if not any(near[a][b] for b in kept):
                     kept.append(a)
-            found = [DeltaRoot(as_point(Wi[a]), float(r[i, rows[a]]), bool(trivial[i, rows[a]])) for a in kept]
+            found = [DeltaRoot(as_point(Wi[a]), float(r[i, rows[a]]), bool(trivial[i, rows[a]]),
+                               bool(lawful[i, rows[a]])) for a in kept]
             found.sort(key=lambda root: root.point)
             out.append(found)
         return out
-
-    def consistent(self, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Per pair of rows (z, w): does Newton for Delta(u) = S Delta(w),
-        started at z, converge to within CONSISTENCY_TOL of z?  An
-        involution that sends z to w sends w back to z."""
-        U, ok, _ = newton_batch(self.fn, self.jac, Z, self.signs * self.fn(W),
-                                tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
-        return ok & (row_norms(U - Z) < CONSISTENCY_TOL)
 
 
 def candidate_from_delta(
@@ -181,15 +181,17 @@ def candidate_map_table(
     """Recover the candidate map on a grid.
 
     The Newton work is batched: one solve gives every non-singular grid
-    point its roots from the multistart seeds and the point itself, and a
-    second solve checks involution consistency for every (point, root)
-    pair: Newton for Delta(u) = S Delta(w) started at z must return to z
-    within 1e-6.  Then a sequential pass, outward from the anchor point,
-    selects each point's root branch: (1) the trivial identity branch is
-    dropped for symmetries, and (2) among the consistent roots, the one
-    nearest the image at the closest point already assigned (nearest-branch
-    continuation) is taken.  Branch switches are counted; too many
-    inconsistent points yield an inconclusive table.
+    point its roots from the multistart seeds and the point itself, and
+    each root is checked against the tower law at the two orders past the
+    selection (see _DeltaSolver.solve).  Then a sequential pass, outward
+    from the anchor point, selects each point's root branch: (1) the
+    trivial identity branch is dropped for symmetries, and (2) the root
+    nearest the image at the closest point already assigned
+    (nearest-branch continuation) is taken among the consistent roots, or
+    among all roots when none is consistent.  stats["inconsistent"] counts
+    the points where no root is consistent; they keep their nearest root.
+    Branch switches are counted; too many unconverged points yield an
+    inconclusive table.
     """
     box = box or F.domain
     solver = _DeltaSolver(F, selection, kind)
@@ -216,19 +218,6 @@ def candidate_map_table(
     singular = solver.singular(pts)
     regular = np.flatnonzero(~singular)
     roots_at = dict(zip(regular.tolist(), solver.solve(pts[regular], box.grid(multistart), newton_tol)))
-    if kind is CheckKind.SYMMETRY:
-        # None marks a point where only the trivial root converged
-        for idx, roots in roots_at.items():
-            nontrivial = [r for r in roots if not r.trivial]
-            roots_at[idx] = None if roots and not nontrivial else nontrivial
-    pairs = [(idx, root) for idx, roots in roots_at.items() for root in roots or ()]
-    flags = solver.consistent(
-        pts[np.array([idx for idx, _ in pairs], dtype=int)],
-        np.array([root.point for _, root in pairs], dtype=float).reshape(-1, box.dimension),
-    ).tolist()
-    options: dict = {idx: [] for idx in roots_at}
-    for (idx, root), ok in zip(pairs, flags):
-        options[idx].append((root, ok))
 
     assigned: dict = {}
     branches: dict = {}
@@ -239,10 +228,14 @@ def candidate_map_table(
         if singular[idx]:
             stats["singular_filtered"] += 1
             continue
-        if roots_at[idx] is None:
-            stats["trivial_only"] += 1
-            continue
-        if not options[idx]:
+        roots = roots_at[idx]
+        if kind is CheckKind.SYMMETRY:
+            nontrivial = [r for r in roots if not r.trivial]
+            if roots and not nontrivial:
+                stats["trivial_only"] += 1
+                continue
+            roots = nontrivial
+        if not roots:
             stats["unconverged"] += 1
             continue
 
@@ -254,11 +247,10 @@ def candidate_map_table(
         ref_value = (
             np.asarray(assigned[ref_idx].image) if ref_idx is not None else z
         )
-        ranked = sorted(options[idx], key=lambda ro: float(np.linalg.norm(np.asarray(ro[0].point) - ref_value)))
-        chosen = next((root for root, ok in ranked if ok), None)
-        if chosen is None:
+        consistent = [root for root in roots if root.consistent]
+        if not consistent:
             stats["inconsistent"] += 1
-            continue
+        chosen = min(consistent or roots, key=lambda root: float(np.linalg.norm(np.asarray(root.point) - ref_value)))
 
         if ref_idx is None:
             branch = next_branch
@@ -276,12 +268,11 @@ def candidate_map_table(
 
     entries = [assigned[i] for i in sorted(assigned.keys())]
     usable = stats["grid_points"] - stats["singular_filtered"]
-    bad = stats["unconverged"] + stats["inconsistent"]
     if usable == 0:
         status = "inconclusive"
     elif not entries and stats["trivial_only"] > 0.8 * usable:
         status = "trivial_only"
-    elif bad > 0.2 * usable:
+    elif stats["unconverged"] > 0.2 * usable:
         status = "inconclusive"
     else:
         status = "ok"

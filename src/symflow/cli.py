@@ -25,7 +25,8 @@ Exit codes: 0 all checks hold / a map exists, 1 a check fails / none exists,
 2 usage, parse or expression errors (such as a division by an expression
 that simplifies to zero), 3 inconclusive results / violated hypotheses /
 a tower entry over the node budget / a classifier's map that fails its own
-re-verification (an internal error).
+re-verification (an internal error) / a request too large for memory, such
+as a huge candidates grid.
 """
 
 from __future__ import annotations
@@ -437,6 +438,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (TowerBudgetError, VerificationError) as exc:
         print(f"symflow: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except MemoryError as exc:
+        print(f"symflow: out of memory: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 
 

@@ -88,6 +88,9 @@ class DomainBox:
         """Regular grid including endpoints, shape (prod(per_axis), dimension)."""
         if isinstance(per_axis, int):
             per_axis = [per_axis] * self.dimension
+        for k in per_axis:
+            if k < 0:
+                raise ValueError(f"grid counts must be non-negative, got {k}")
         axes = [
             np.linspace(lo, hi, k)
             for (lo, hi), k in zip(self.intervals, per_axis)

@@ -106,12 +106,68 @@ class TestCandidateMapTable:
         assert check_structural(F, sigma, CheckKind.REVERSIBILITY).failed
 
     def test_inconsistent_nearest_root_yields_to_a_consistent_one(self):
-        # with a loose root tolerance the consistency solve rejects the
-        # nearest root at some points; the next consistent root is taken
+        # with a loose root tolerance many roots converge only to about
+        # 1e-3 and miss the tower law's 1e-6 tolerance; a point takes the
+        # nearest root that passes, and the 7 points where none passes keep
+        # their nearest root and are counted, without dropping them
         F = lotka_volterra_field(1, 1, 1, 1, DomainBox.cube(-1, 4, 2))
         cmap = candidate_map_table(F, default_selection(2), CheckKind.REVERSIBILITY, grid=(6, 6), newton_tol=1e-2)
-        assert cmap.status == "ok" and cmap.stats["inconsistent"] == 0
+        assert cmap.status == "ok" and cmap.stats["inconsistent"] == 7
         assert len(cmap.entries) == cmap.stats["grid_points"] - cmap.stats["singular_filtered"] == 32
+
+    @pytest.mark.parametrize("abc, box, grid", [
+        ((1, 4, 2), DomainBox.cube(-1, 4, 2), (20, 20)),
+        ((1, 2, 3), DomainBox.cube(-1, 8, 2), (6, 6)),
+        ((1, 3, 3), DomainBox.cube(-2, 2, 2), (6, 6)),
+    ])
+    def test_equal_rates_table_is_the_swap(self, abc, box, grid):
+        # the order-0/1 equations also admit the point reflection through
+        # the equilibrium; the tower law at orders 2 and 3 rejects it
+        a, b, c = abc
+        F = lotka_volterra_field(a, b, c, a, box)
+        cmap = candidate_map_table(F, default_selection(2), CheckKind.REVERSIBILITY, grid=grid)
+        assert cmap.status == "ok" and len(cmap.entries) == grid[0] * grid[1]
+        Z = cmap.points()
+        np.testing.assert_allclose(cmap.images(), np.stack([b * Z[:, 1] / c, c * Z[:, 0] / b], axis=-1), atol=1e-8)
+        sigma, _ = fit_affine_candidate(cmap, F.domain)
+        assert [to_string(e) for e in sigma.components] == [to_string(e) for e in classify_lotka_volterra(
+            a, b, c, a).reversibility.sigma.components]
+
+    def test_law_needs_both_orders_on_the_fixed_line(self):
+        # z lies on the swap's fixed line c x = b y, so the swap root is z
+        # itself; D_2 is 0 at both roots and only D_3 tells them apart
+        F = lotka_volterra_field(1, 4, 2, 1, DomainBox.cube(-1, 4, 2))
+        roots = candidate_from_delta(F, default_selection(2), CheckKind.REVERSIBILITY, (0.2, 0.1))
+        assert len(roots) == 2
+        swap, reflection = roots
+        np.testing.assert_allclose(swap.point, (0.2, 0.1), atol=1e-8)
+        np.testing.assert_allclose(reflection.point, (0.3, 0.15), atol=1e-8)
+        assert swap.consistent and not reflection.consistent
+
+    @pytest.mark.parametrize("args, box, grid, expected", [
+        ((1, 2, 3, -1), DomainBox.cube(-2, 2, 2), (8, 8), ["-2/3*y", "-3/2*x"]),
+        ((1, 2, 3, -1), DomainBox.cube(0.2, 2.0, 2), (6, 6), ["-2/3*y", "-3/2*x"]),
+        ((2, 1, 4, -2), DomainBox.cube(-2, 2, 2), (8, 8), ["-1/4*y", "-4*x"]),
+    ])
+    def test_symmetry_tables_keep_the_symmetry(self, args, box, grid, expected):
+        a, b, c, _ = args
+        F = lotka_volterra_field(*args, box)
+        cmap = candidate_map_table(F, default_selection(2), CheckKind.SYMMETRY, grid=grid)
+        assert cmap.status == "ok" and cmap.stats["inconsistent"] == 0
+        Z = cmap.points()
+        np.testing.assert_allclose(cmap.images(), np.stack([-b * Z[:, 1] / c, -c * Z[:, 0] / b], axis=-1), atol=1e-8)
+        sigma, _ = fit_affine_candidate(cmap, F.domain)
+        assert [to_string(e) for e in sigma.components] == expected
+
+    def test_mirror_negative_keeps_every_entry(self):
+        # the mirror is no reversibility of this field, so the law fails
+        # off its fixed line x = 0; those points keep the mirror image
+        F = field2("y + x^2", "-x - x^2")
+        cmap = candidate_map_table(F, default_selection(2), CheckKind.REVERSIBILITY, grid=(9, 9))
+        assert cmap.status == "ok" and len(cmap.entries) == 81
+        assert cmap.stats["inconsistent"] == 72
+        Z = cmap.points()
+        np.testing.assert_allclose(cmap.images(), np.stack([-Z[:, 0], Z[:, 1]], axis=-1), atol=1e-8)
 
     def test_symmetry_only_trivial_branch(self):
         F = field2("y + x^2", "-x - x^2")
@@ -154,8 +210,8 @@ class TestBatchedNewtonEndToEnd:
         rev, symm = CheckKind.REVERSIBILITY, CheckKind.SYMMETRY
         tables = [
             candidate_map_table(lv, sel, rev, grid=(8, 8)),
-            # a loose root tolerance leaves roots the consistency solve
-            # rejects, some ranked ahead of a consistent one
+            # a loose root tolerance leaves roots that fail the tower law,
+            # some ranked ahead of a root that passes
             candidate_map_table(lotka_volterra_field(1, 2, 3, 1, DomainBox.cube(-1, 4, 2)), sel, rev,
                                 grid=(6, 6), newton_tol=1e-2),
             candidate_map_table(quad, sel, rev, grid=(10, 10)),

@@ -264,6 +264,31 @@ class TestCandidatesCommand:
         assert code == exit_code
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, count", [
+        (["--grid=-3x4"], -3),
+        (["--grid", "4x-2"], -2),
+        (["--multistart", "-1"], -1),
+    ])
+    def test_negative_counts_are_usage_errors(self, tmp_path, capsys, extra, count):
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        code = main(["candidates", spec, "--kind", "reversibility", *extra, "--csv", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"symflow: grid counts must be non-negative, got {count}\n"
+
+    def test_grid_too_large_for_memory_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        from symflow.geometry import DomainBox
+
+        def refuse(self, per_axis):
+            raise MemoryError("Unable to allocate 149. GiB for an array with shape (10000000000, 2)")
+
+        monkeypatch.setattr(DomainBox, "grid", refuse)
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        code = main(["candidates", spec, "--kind", "reversibility", "--grid", "100000x100000",
+                     "--csv", str(tmp_path / "t.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("symflow: out of memory: Unable to allocate") and err.count("\n") == 1
+
 
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
@@ -288,6 +313,18 @@ class TestCleanExit:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("symflow: ") and "budget" in err
+
+    def test_law_orders_over_budget_are_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # orders 0 and 1 of this field fit in 15 nodes; the table also
+        # builds orders 2 and 3 for the tower law, and order 2 has 23
+        import symflow.tower
+
+        monkeypatch.setattr(symflow.tower, "NODE_BUDGET", 15)
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        code = main(["candidates", spec, "--kind", "reversibility", "--grid", "4x4",
+                     "--csv", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == "symflow: tower entry at order 2 has 23 nodes (budget 15)\n"
 
     def test_emitted_map_failing_verification_is_inconclusive(self, tmp_path, capsys, monkeypatch):
         import symflow.candidates
