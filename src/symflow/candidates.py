@@ -84,8 +84,13 @@ class _DeltaSolver:
     def solve(self, Z: np.ndarray, seeds: np.ndarray, newton_tol: float = NEWTON_TOL) -> List[List[DeltaRoot]]:
         """Per point z of Z (m, n), the roots of Delta(w) = S Delta(z) that
         Newton reaches from the seeds and from z, all in one batched solve.
-        A point's roots are its converged rows in seed order, less those
-        within TRIVIAL_TOL of a root already kept, sorted by coordinates.
+        A point's roots are its converged rows, the consistent ones first
+        and each in seed order, less those within the merge radius of a
+        root already kept, sorted by coordinates; a root within that radius
+        of z is trivial.  The radius is TRIVIAL_TOL, or newton_tol when
+        that is larger: Newton stops once the residual is below newton_tol,
+        and a loose tolerance leaves its copies of one root up to about
+        newton_tol / 3 apart.
         A root is consistent when |D_j(w) - s_j D_j(z)| is at most
         CONSISTENCY_TOL (1 + max(|D_j(w)|, |D_j(z)|)) at both law orders."""
         m, n = Z.shape
@@ -98,15 +103,19 @@ class _DeltaSolver:
                                 tol=newton_tol, max_iter=NEWTON_MAX_ITER)
         ok &= r < newton_tol
         W, ok, r = W.reshape(m, k, n), ok.reshape(m, k), r.reshape(m, k)
-        trivial = row_norms(W - Z[:, None, :]) < TRIVIAL_TOL
+        radius = max(TRIVIAL_TOL, newton_tol)
+        trivial = row_norms(W - Z[:, None, :]) < radius
         DW, DZ = self.law(W), (self.law_signs * self.law(Z))[:, None, :]
         with np.errstate(all="ignore"):
             lawful = (np.abs(DW - DZ) <= CONSISTENCY_TOL * (1 + np.maximum(np.abs(DW), np.abs(DZ)))).all(axis=-1)
         out = []
         for i in range(m):
             rows = np.flatnonzero(ok[i])
+            # a root is consistent when one of its copies is, so the lawful
+            # copies come first and one of them is kept
+            rows = rows[np.argsort(~lawful[i, rows], kind="stable")]
             Wi = W[i, rows]
-            near = (row_norms(Wi[:, None, :] - Wi[None, :, :]) < TRIVIAL_TOL).tolist()
+            near = (row_norms(Wi[:, None, :] - Wi[None, :, :]) < radius).tolist()
             kept: List[int] = []
             for a in range(len(rows)):
                 if not any(near[a][b] for b in kept):

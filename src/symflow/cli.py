@@ -32,6 +32,7 @@ as a huge candidates grid.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -384,7 +385,12 @@ def cmd_candidates(args) -> int:
     return exit_code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so in-process callers of main (tests, scripts, the
+    benchmark worker) skip the argparse setup on every later call.  A
+    one-shot command-line run builds it once either way."""
     parser = argparse.ArgumentParser(
         prog="symflow",
         description="Measure-preserving symmetry and reversibility analysis for smooth vector fields",

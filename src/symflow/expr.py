@@ -81,6 +81,16 @@ class Binary:
         if self.op == "pow" and not isinstance(self.right, Const):
             raise ExprError("pow exponent must be a rational constant")
 
+    def __getattr__(self, name):
+        # only a lazy canonical sum (see _canonical) lacks its fields; it
+        # builds them from its NF on the first read
+        if name not in ("op", "left", "right") or self._nf is None:
+            raise AttributeError(name)
+        tree = _nf_to_expr(self._nf)
+        for f in ("op", "left", "right"):
+            object.__setattr__(self, f, getattr(tree, f))
+        return getattr(tree, name)
+
 
 Expression = Union[Const, Var, Unary, Binary]
 
@@ -129,6 +139,25 @@ def node_count(e: Expression) -> int:
     stack = [e]
     while stack:
         e = stack.pop()
+        nf = e._nf
+        if nf is not None:
+            # the tree is _nf_to_expr(nf), so count its shape off the NF and
+            # leave a lazy tree unbuilt: an add/sub node between terms; per
+            # term of k factors, the factors (a pow adds 2, an atom its
+            # argument) and k - 1 mul nodes, 2 more for a constant factor
+            # (|c| != 1) and 1 more for the neg of a leading -1
+            lead = min(nf, key=_term_key(nf)) if -1 in nf.values() else None
+            count += len(nf) - 1
+            for m, c in nf.items():
+                if not m:
+                    count += 1
+                    continue
+                count += 2 * len(m) - 1 + 2 * (abs(c) != 1) + (c == -1 and m == lead)
+                for bk, p in m:
+                    count += 2 * (p != 1)
+                    if bk[0] == "f":
+                        stack.append(bk[2])
+            continue
         count += 1
         if isinstance(e, Unary):
             stack.append(e.arg)
@@ -373,6 +402,15 @@ for _cls in (Const, Var, Unary, Binary):
 # re-simplifies to the expansion of u.  Const trees (ZERO and ONE are
 # shared) never carry an NF.  NF dicts are shared through these caches, so
 # no NF is mutated once built.
+#
+# The tree of an exact NF of two or more terms is built on first read:
+# `_canonical` returns a Binary that holds only the NF, and
+# `Binary.__getattr__` builds its op, left and right with `_nf_to_expr` when
+# one is first read.  `_to_nf`, `is_polynomial`, `max_var_index` and
+# `node_count` read the NF instead, so a check that decides on NFs (a tower
+# order, a sigma-image, a residual that cancels) never builds the tree;
+# equality, hashing, printing and evaluation build it and see the same tree
+# as ever.  A walk with an NF shortcut tests `_nf` before any field.
 #
 # On exact data (a remembered NF, or a syntactic polynomial) differentiate,
 # compose and derivative_along work on the dict.  A derivative takes the
@@ -628,7 +666,7 @@ def _sum_chain(e: Binary) -> tuple:
     in a loop.  Below e the chain stops at a tree that remembers its NF."""
     chain = [e]
     e = e.left
-    while isinstance(e, Binary) and e.op in ("add", "sub") and e._nf is None:
+    while e._nf is None and isinstance(e, Binary) and e.op in ("add", "sub"):
         chain.append(e)
         e = e.left
     chain.reverse()
@@ -686,9 +724,12 @@ def _nf_to_expr(nf: dict) -> Expression:
 
 
 def _canonical(nf: dict) -> Expression:
-    """The canonical tree of nf, remembering nf when nf is exact."""
-    tree = _nf_to_expr(nf)
-    if not isinstance(tree, Const) and _is_exact(nf):
+    """The canonical tree of nf, remembering nf when nf is exact; an exact
+    sum of terms is a lazy tree, built on the first read of its fields."""
+    if not _is_exact(nf):
+        return _nf_to_expr(nf)
+    tree = object.__new__(Binary) if len(nf) > 1 else _nf_to_expr(nf)
+    if not isinstance(tree, Const):
         object.__setattr__(tree, "_nf", nf)
     return tree
 

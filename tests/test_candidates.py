@@ -60,6 +60,19 @@ class TestCandidateFromDelta:
             assert len(trivial) == 1
             np.testing.assert_allclose(trivial[0].point, z, atol=1e-8)
 
+    def test_loose_tolerance_keeps_one_copy_per_root(self):
+        # with newton_tol 1e-2 the seeds reach copies of the same two roots
+        # up to about 3e-3 apart; roots within newton_tol of each other are
+        # one root, and a copy within newton_tol of z is trivial
+        F = lotka_volterra_field(1, 1, 1, 1, DomainBox.cube(-1, 4, 2))
+        for tol in (1e-2, 1e-10):
+            roots = candidate_from_delta(F, default_selection(2), CheckKind.REVERSIBILITY, (0.0, 3.0),
+                                         newton_tol=tol)
+            np.testing.assert_allclose([r.point for r in roots], [(1, -2), (3, 0)], atol=1e-2)
+        F = lotka_volterra_field(1, 2, 3, 1)
+        roots = candidate_from_delta(F, default_selection(2), CheckKind.SYMMETRY, (0.9, 0.7), newton_tol=1e-2)
+        assert len([r for r in roots if r.trivial]) == 1
+
     def test_residuals_meet_tolerance(self):
         F = lotka_volterra_field(1, 2, 3, 1, DomainBox.cube(-2, 2, 2))
         roots = candidate_from_delta(F, default_selection(2), CheckKind.REVERSIBILITY, (1.0, 0.4))
@@ -108,11 +121,13 @@ class TestCandidateMapTable:
     def test_inconsistent_nearest_root_yields_to_a_consistent_one(self):
         # with a loose root tolerance many roots converge only to about
         # 1e-3 and miss the tower law's 1e-6 tolerance; a point takes the
-        # nearest root that passes, and the 7 points where none passes keep
-        # their nearest root and are counted, without dropping them
+        # nearest root that passes, and the 6 points where none passes keep
+        # their nearest root and are counted, without dropping them.  Each
+        # root keeps a copy that passes if it has one: at z = (2, 4) only a
+        # later copy of the image (4, 2) passes
         F = lotka_volterra_field(1, 1, 1, 1, DomainBox.cube(-1, 4, 2))
         cmap = candidate_map_table(F, default_selection(2), CheckKind.REVERSIBILITY, grid=(6, 6), newton_tol=1e-2)
-        assert cmap.status == "ok" and cmap.stats["inconsistent"] == 7
+        assert cmap.status == "ok" and cmap.stats["inconsistent"] == 6
         assert len(cmap.entries) == cmap.stats["grid_points"] - cmap.stats["singular_filtered"] == 32
 
     @pytest.mark.parametrize("abc, box, grid", [

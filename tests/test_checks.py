@@ -98,6 +98,20 @@ class TestTowerTransform:
         v = check_tower_transform(F, map2("2*y/3", "3*x/2"), CheckKind.REVERSIBILITY, 3)
         assert v.status is Status.HOLDS and v.certainty is Certainty.CERTAIN
 
+    def test_holding_exact_law_builds_no_tree(self, monkeypatch):
+        # tower orders and sigma-images are only read through their normal
+        # forms, so the trees of these sums are never built; a one-term
+        # form (a monomial, a variable) is built at once, as it is cheap
+        from symflow import expr
+
+        sizes = []
+        build = expr._nf_to_expr
+        monkeypatch.setattr(expr, "_nf_to_expr", lambda nf: sizes.append(len(nf)) or build(nf))
+        F = lotka_volterra_field(1, 2, 3, 1)
+        v = check_tower_transform(F, map2("2*y/3", "3*x/2"), CheckKind.REVERSIBILITY, 3)
+        assert v.status is Status.HOLDS and v.certainty is Certainty.CERTAIN
+        assert all(n <= 1 for n in sizes)
+
     def test_identity_symmetry_all_orders(self):
         F = field2("y + x^2", "-(x + x^3)")
         v = check_tower_transform(F, identity_map(2, F.domain), CheckKind.SYMMETRY, 4)

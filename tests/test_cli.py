@@ -4,12 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import symflow
 from symflow.cli import SpecError, load_system_spec, main
 
 
@@ -142,6 +145,24 @@ class TestCheckCommand:
         assert main(["check", spec, "--kind", "reversibility", "--out", out1]) == 0
         assert main(["check", spec, "--kind", "reversibility", "--out", out2]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    def test_reused_parser_gives_fresh_run_bytes(self, tmp_path):
+        # main builds its parser once per process; an --orders given to one
+        # call must not carry over to the next, which takes the default
+        spec = write(tmp_path, "lv.spec", LV_GOOD)
+        runs = [["check", spec, "--kind", "reversibility", "--orders", "2"],
+                ["check", spec, "--kind", "reversibility"]]
+        src = os.path.dirname(os.path.dirname(symflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        reports = []
+        for k, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{k}.json", tmp_path / f"fresh{k}.json"
+            assert main(argv + ["--out", str(here)]) == 0
+            subprocess.run([sys.executable, "-c", "import sys; from symflow.cli import main; sys.exit(main(sys.argv[1:]))",
+                            *argv, "--out", str(fresh)], env=env, check=True)
+            assert here.read_bytes() == fresh.read_bytes()
+            reports.append(here.read_bytes())
+        assert reports[0] != reports[1]
 
     def test_env_seed_overrides_flag(self, tmp_path, capsys, monkeypatch):
         spec = write(tmp_path, "lv.spec", LV_GOOD)

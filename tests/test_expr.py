@@ -593,6 +593,61 @@ class TestCachedKeys:
         assert a != to_string(a) and not (a == 0)
 
 
+def _is_lazy(e):
+    """Whether e is a canonical sum whose fields are not built yet."""
+    return type(e) is Binary and "op" not in vars(e)
+
+
+def _reads_like_eager(make):
+    """make() returns a canonical tree.  Each read of a fresh result, made
+    first, gives what the eagerly built tree _nf_to_expr(nf) gives, and
+    node_count leaves a lazy result unbuilt."""
+    e = make()
+    if isinstance(e, tuple) or e._nf is None:  # an ExprError, or a constant
+        return
+    eager = ex._nf_to_expr(e._nf)
+    fresh = parse(to_string(eager), 2)  # no node carries an NF: node_count walks it
+    lazy = len(e._nf) > 1
+    assert _is_lazy(e) == lazy
+    assert ex.node_count(e) == ex.node_count(fresh)
+    assert _is_lazy(e) == lazy  # node_count built nothing
+    assert hash(make()) == hash(eager)
+    assert to_string(make()) == to_string(eager)
+    assert repr(make()) == repr(eager)
+    t = make()
+    assert t == eager and eager == t and not (t != eager)
+    assert e == fresh and ex._fields(e) == ex._fields(eager)
+
+
+class TestLazyCanonicalTrees:
+    """A canonical sum is built from its NF on the first read of its fields,
+    and reads the same as the eagerly built tree."""
+
+    SIGMA = [Binary("mul", Const(Fraction(-2, 3)), Var(2)), parse("3/2*x - x^2", 2)]
+
+    def check_all(self, e):
+        s = _simplified(e)
+        _reads_like_eager(lambda: simplify(e))
+        for var in (1, 2):
+            _reads_like_eager(lambda: _outcome(differentiate, s, var))
+        _reads_like_eager(lambda: _outcome(compose, s, self.SIGMA))
+        _reads_like_eager(lambda: _outcome(ex.derivative_along, s, self.SIGMA))
+
+    @pytest.mark.parametrize("text", [
+        "-x^2*y + 1/2*x - 3/4",  # a leading -1 and Fraction coefficients
+        "-x*y^3 - x + y^2",
+        "x^3 - 5/3*x*sin(x - y)^2 + exp(-y)*y",  # pow factors and atoms
+        "-sin(x + 1)*cos(y)^2 + 2*exp(x*y - 1) - 1",
+    ])
+    def test_fixed_cases(self, text):
+        self.check_all(p2(text))
+
+    @given(st.one_of(poly_exprs(), atom_exprs()))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_reads_match_the_eager_tree(self, e):
+        self.check_all(e)
+
+
 class TestLongTrees:
     N = 3000  # three times the default recursion limit
 
