@@ -24,7 +24,7 @@ from .checks import check_structural
 from .expr import Expression, identically_zero, to_string
 from .fields import SmoothMap, VectorField, is_involution, is_measure_preserving
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, newton_batch, row_norms
+from .numeric import compile_components, newton_batch, row_norms
 from .parser import parse
 from .tower import Selection, build_tower, delta_map
 from .verdict import Certainty, CheckKind, Witness
@@ -64,9 +64,7 @@ class _DeltaSolver:
         delta = delta_map(tower, selection)
         n = delta.dimension
         self.fn = compile_components(delta.components)
-        self.jac = compile_matrix(
-            [[ex.differentiate(c, j + 1) for j in range(n)] for c in delta.components]
-        )
+        self.jac = compile_components([ex.differentiate(c, j + 1) for c in delta.components for j in range(n)])
         self.signs = np.array([kind.tower_sign(j) for j in selection.entries], dtype=float)
         # on the fixed line of a reversibility the even order m + 1 or m + 2
         # vanishes at every root, so the law needs both orders
@@ -75,10 +73,11 @@ class _DeltaSolver:
 
     def singular(self, Z: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
         """Per point of Z (m, n): is |det J_Delta| below tol (1 + max |J|)?"""
-        J = self.jac(Z)
-        scale = 1.0 + np.abs(J).max(axis=(-2, -1))
+        m, n = Z.shape
         with np.errstate(all="ignore"):
+            J = self.jac(Z.T).T.reshape(m, n, n)
             det = np.linalg.det(J)
+        scale = 1.0 + np.abs(J).max(axis=(-2, -1))
         return np.abs(det) < tol * scale
 
     def solve(self, Z: np.ndarray, seeds: np.ndarray, newton_tol: float = NEWTON_TOL) -> List[List[DeltaRoot]]:
@@ -98,15 +97,17 @@ class _DeltaSolver:
         starts = np.empty((m, k, n))
         starts[:, :-1] = seeds
         starts[:, -1] = Z
-        targets = np.repeat(self.signs * self.fn(Z), k, axis=0)
+        with np.errstate(all="ignore"):
+            targets = np.repeat(self.signs * self.fn(Z.T).T, k, axis=0)
         W, ok, r = newton_batch(self.fn, self.jac, starts.reshape(m * k, n), targets,
                                 tol=newton_tol, max_iter=NEWTON_MAX_ITER)
         ok &= r < newton_tol
         W, ok, r = W.reshape(m, k, n), ok.reshape(m, k), r.reshape(m, k)
         radius = max(TRIVIAL_TOL, newton_tol)
         trivial = row_norms(W - Z[:, None, :]) < radius
-        DW, DZ = self.law(W), (self.law_signs * self.law(Z))[:, None, :]
         with np.errstate(all="ignore"):
+            DW = np.moveaxis(self.law(np.moveaxis(W, -1, 0)), 0, -1)
+            DZ = (self.law_signs * self.law(Z.T).T)[:, None, :]
             lawful = (np.abs(DW - DZ) <= CONSISTENCY_TOL * (1 + np.maximum(np.abs(DW), np.abs(DZ)))).all(axis=-1)
         out = []
         for i in range(m):
@@ -515,7 +516,8 @@ def _sign_profile(e: Expression) -> Optional[str]:
 def _sampled_extrema(e: Expression, lo: float, hi: float, count: int = 100):
     fn = compile_components([e])
     xs = np.linspace(lo, hi, count).reshape(-1, 1)
-    vals = fn(xs)[..., 0]
+    with np.errstate(all="ignore"):
+        vals = fn(xs.T)[0]
     finite = np.isfinite(vals)
     if not finite.any():
         return None

@@ -26,7 +26,7 @@ from .expr import (
 )
 from .fields import JacobianMatrix, SmoothMap, VectorField, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, newton_batch
+from .numeric import compile_components, newton_batch
 from .tower import DivergenceTower, Selection, build_tower, delta_map
 from .verdict import Certainty, CheckKind, Status, Verdict, combine, threshold_verdict
 
@@ -267,14 +267,9 @@ def fixed_points(
 
     fn = compile_components([ex.sub(c, ex.Var(i + 1)) for i, c in enumerate(sigma.components)])
     entries = jacobian(sigma).entries
-    jac_minus_id = [
-        [
-            ex.sub(entries[i][j], ex.ONE) if i == j else entries[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    jac_fn = compile_matrix(jac_minus_id)
+    jac_fn = compile_components(
+        [ex.sub(entries[i][j], ex.ONE) if i == j else entries[i][j] for i in range(n) for j in range(n)]
+    )
     X, ok, r = newton_batch(fn, jac_fn, box.grid(seeds_per_axis), tol=FIXED_POINT_TOL, max_iter=60)
     pts: List[Point] = []
     for x in X[ok & (r < FIXED_POINT_TOL)]:
@@ -359,7 +354,8 @@ def check_fixed_points_even_orders(
     parts = []
     for k in orders:
         fn = compile_components([tower.orders[k]])
-        vals = [abs(fn(np.asarray(p))[0]) for p in fs.points]
+        with np.errstate(all="ignore"):
+            vals = np.abs(fn(np.array(fs.points).T)[0])
         parts.append(threshold_verdict(vals, fs.points, value_tol, f"order {k} at {len(fs.points)} fixed points"))
     return combine(parts, notes=f"even orders {orders} at located fixed points")
 
@@ -402,7 +398,11 @@ def check_level_set_invariance(
         if not pts:
             parts.append(Verdict.inconclusive(f"{label}: no points found in the box"))
             continue
-        vals = fn(sig(np.asarray(pts)))[:, 0]
+        with np.errstate(all="ignore"):
+            images = sig(np.array(pts).T)
+            vals = fn(images)[0]
+        # where sigma is undefined, so is the level value, even a constant one
+        vals[~np.isfinite(images).all(axis=0)] = np.nan
         residuals = np.abs(vals * vals - float(L) * float(L)) if signed else np.abs(vals - float(L))
         parts.append(threshold_verdict(residuals, pts, tol, f"{label}: {len(pts)} points"))
     return combine(parts)
@@ -415,16 +415,17 @@ def _project_to_level(fn, grad, box, L, samples, eps_on, rng, max_attempts_facto
     while len(pts) < samples and attempts < limit:
         attempts += 1
         p = box.sample(rng, 1)[0]
-        for _ in range(40):
-            v = float(fn(p)[0]) - L
-            if abs(v) < eps_on:
+        # up to 40 steps; the value after the last one decides the point
+        for step in range(41):
+            with np.errstate(all="ignore"):
+                v, g = float(fn(p)[0]) - L, grad(p)
+            if abs(v) < eps_on or step == 40:
                 break
-            g = grad(p)
             gg = float(np.dot(g, g))
             if not np.isfinite(gg) or gg < 1e-14:
                 break
             p = p - (v / gg) * g
-        if abs(float(fn(p)[0]) - L) < eps_on and box.contains(p):
+        if abs(v) < eps_on and box.contains(p):
             pts.append(as_point(p))
     return pts
 
@@ -464,8 +465,9 @@ def check_delta_noninvertibility(
         isinstance(c, (int, Fraction)) for c in z0
     )
 
-    jac_fn = compile_matrix(entries)
-    Jnum = jac_fn(np.asarray([float(c) for c in z0], dtype=float))
+    jac_fn = compile_components([e for row in entries for e in row])
+    with np.errstate(all="ignore"):
+        Jnum = jac_fn(np.array([float(c) for c in z0])).reshape(n, n)
     minors = _minor_magnitudes(Jnum)
     scale = 1.0 + max(minors)
     threshold = tol_rel * scale

@@ -12,7 +12,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expression, identically_zero, to_string
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_matrix, newton_batch, row_norms, solve_rows
+from .numeric import compile_components, newton_batch, row_norms, solve_rows
 from .verdict import Verdict, combine, threshold_verdict
 
 logger = logging.getLogger(__name__)
@@ -184,10 +184,10 @@ def is_measure_preserving(
         return v.with_notes(f"det J = {to_string(d)}; {v.notes}")
     # high dimension: sample |det|^2 - 1 numerically via LU
     rng = rng if rng is not None else np.random.default_rng(0)
-    jac_fn = compile_matrix(jacobian(m).entries)
+    jac_fn = compile_components([e for row in jacobian(m).entries for e in row])
     pts = box.sample(rng, trials)
     with np.errstate(all="ignore"):
-        dets = np.linalg.det(jac_fn(pts))
+        dets = np.linalg.det(jac_fn(pts.T).T.reshape(trials, n, n))
         residuals = np.abs(dets * dets - 1.0)
     return threshold_verdict(residuals, pts, 1e-9, "sampled determinant")
 
@@ -206,7 +206,7 @@ def find_critical_points(
     non-convergence count is logged; an empty list is a valid result.
     """
     f = compile_components(F.components)
-    jac_fn = compile_matrix(jacobian(F).entries)
+    jac_fn = compile_components([e for row in jacobian(F).entries for e in row])
     seeds = F.domain.grid(seeds_per_axis)
     blob_radius = 1e-2 * float(np.linalg.norm(F.domain.highs - F.domain.lows))
     X, ok, r = newton_batch(f, jac_fn, seeds, tol=residual_tol, max_iter=NEWTON_MAX_ITER)
@@ -232,13 +232,14 @@ def _polish_roots(f, jac_fn, X, max_iter=80, step_tol=1e-13):
     step_tol (after taking it), or before a step when its residual, its
     Jacobian or the step is non-finite or its Jacobian is singular."""
     X = np.array(X, dtype=float)
+    n = X.shape[-1]
     live = np.arange(len(X))
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             if not len(live):
                 break
-            fx = f(X[live])
-            J = jac_fn(X[live])
+            Xl = X[live].T
+            fx, J = f(Xl).T, jac_fn(Xl).T.reshape(len(live), n, n)
             finite = np.isfinite(fx).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
             live, fx, J = live[finite], fx[finite], J[finite]
             step, solved = solve_rows(J, -fx)
@@ -258,6 +259,8 @@ def _is_duplicate(f, x, roots, dedup_tol, blob_radius, residual_tol):
         # one degenerate root, not two isolated ones
         if gap < blob_radius:
             mid = (x + np.asarray(known)) / 2.0
-            if np.linalg.norm(f(mid)) < 10 * residual_tol:
+            with np.errstate(all="ignore"):
+                fm = f(mid)
+            if np.linalg.norm(fm) < 10 * residual_tol:
                 return True
     return False

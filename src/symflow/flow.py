@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import SmoothMap, VectorField, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_columns, compile_components, into_rows, rk4_march, rk4_path, rk4_variational
+from .numeric import compile_components, rk4_march, rk4_path, rk4_variational
 from .verdict import CheckKind, Verdict, threshold_verdict
 
 TOL_FLOW = 1e-5
@@ -75,7 +75,7 @@ def integrate(F: VectorField, z0: Sequence[float], cfg: IntegratorConfig) -> Tra
     h = cfg.horizon / steps
 
     # path[k, i, row]: coordinate i after k steps, forward in row 0, backward in row 1
-    path, died = rk4_path(into_rows(compile_columns(F.components)), np.stack([z0, z0], axis=-1),
+    path, died = rk4_path(compile_components(F.components), np.stack([z0, z0], axis=-1),
                           np.array([h, -h]), steps, guard.lows, guard.highs)
 
     def direction(row):
@@ -137,7 +137,8 @@ def check_flow_relation(
     # one march: rows [0, samples) follow the flow from Z, the rest follow
     # it (time-reversed for a reversibility) from sigma(Z); each row's state
     # is picked at its own step k, unless the row escaped before
-    start = np.concatenate([Z, sig(Z)])
+    with np.errstate(all="ignore"):
+        start = np.concatenate([Z, sig(Z.T).T])
     steps = np.repeat([h, kind.flow_time_sign * h], samples)
     due_at = np.concatenate([ks, ks])
     picked = np.full_like(start, np.nan)
@@ -147,12 +148,14 @@ def check_flow_relation(
         if due.any():
             picked[due] = state[:, due].T
 
-    rk4_march(into_rows(compile_columns(F.components)), start.T, steps, steps_total,
+    rk4_march(compile_components(F.components), start.T, steps, steps_total,
               guard.lows, guard.highs, on_step=pick)
-    lhs = sig(picked[:samples])
+    with np.errstate(all="ignore"):
+        lhs = sig(picked[:samples].T).T
     rhs = picked[samples:]
 
-    good = np.all(np.isfinite(lhs), axis=-1) & np.all(np.isfinite(rhs), axis=-1)
+    # an escaped row of picked is nan, which a constant sigma maps to a finite point
+    good = np.all(np.isfinite(np.hstack([picked[:samples], lhs, rhs])), axis=-1)
     skipped = int(samples - good.sum())
     if skipped > samples / 2:
         return Verdict.inconclusive(
@@ -186,8 +189,7 @@ def check_liouville(
     if mc_points <= 0:
         raise ValueError("mc_points must be positive")
     rng = np.random.default_rng(seed)
-    f = compile_columns(F.components)
-    jac_fn = compile_columns([e for row in jacobian(F).entries for e in row])
+    jac_rows = jacobian(F).entries
     div_fn = compile_components([divergence(F)])
     guard = F.domain.inflate(ESCAPE_INFLATION)
     dt = min(_SLOPE_DT, t_max)
@@ -199,13 +201,13 @@ def check_liouville(
         sides = {}
         with np.errstate(all="ignore"):
             for s in (+1, -1):
-                zT, JT = rk4_variational(f, jac_fn, pts, s * dt, steps)
+                zT, JT = rk4_variational(F.components, jac_rows, pts, s * dt, steps)
                 ok = np.all(np.isfinite(zT), axis=-1) & guard.contains_rows(zT)
                 if not ok.all():
                     return None
                 sides[s] = vol * float(np.mean(np.linalg.det(JT)))
             slope = (sides[+1] - sides[-1]) / (2.0 * dt)
-            div_integral = vol * float(np.mean(div_fn(pts)[..., 0]))
+            div_integral = vol * float(np.mean(div_fn(pts.T)[0]))
         return slope, div_integral
 
     result = attempt(region)

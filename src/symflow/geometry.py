@@ -16,7 +16,8 @@ def as_point(coords) -> Point:
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Axis-aligned box [lo_1, hi_1] x ... x [lo_n, hi_n] with lo_i < hi_i."""
+    """Axis-aligned box [lo_1, hi_1] x ... x [lo_n, hi_n] with lo_i < hi_i
+    and every width hi_i - lo_i finite."""
 
     intervals: Tuple[Tuple[float, float], ...]
 
@@ -27,6 +28,8 @@ class DomainBox:
         for lo, hi in ivs:
             if not lo < hi:
                 raise ValueError(f"degenerate interval [{lo}, {hi}]")
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"interval [{lo}, {hi}] has a width that is not finite")
         object.__setattr__(self, "intervals", ivs)
 
     @staticmethod

@@ -1,12 +1,12 @@
 """Compiled numeric evaluation and shared numerical kernels.
 
-Expressions compile once into a column kernel: it takes the coordinate
-columns z_1..z_n (arrays of one common shape, or floats) and returns one value
-per expression.  A batch of N points is n arrays of length N, so nothing is
-stacked or copied between calls, and a component that is constant comes back
-as a Python float that broadcasts.  Domain faults (division by zero, log of
-a negative) surface as non-finite entries rather than exceptions; callers
-mask them.
+Expressions compile once into a kernel k(Z, out=None) -> out: Z[i] is the
+column of coordinate i + 1 (arrays of one common shape, or one point's
+coordinates), and expression i is written into out[i], allocated as
+(k,) + shape(Z[0]) when not given.  A point-major caller passes X.T and a
+transposed view of its own buffer.  out never holds a view of Z.  Domain
+faults (division by zero, log of a negative) surface as non-finite entries
+rather than exceptions; callers mask them and set np.errstate.
 
 One emitter (`_Emitter`) records every kernel as a tape of numpy
 operations, one common-subexpression temporary per distinct subterm, and
@@ -14,61 +14,52 @@ folds subterms without variables into constants.  An integer power is one
 tape entry, computed by the tree walk's own chain of multiplications
 (`expr.int_power`), so a polynomial kernel gives the same bits on every
 row, point and host; numpy's exp, log, sin and cos may differ between
-hosts.  `compile_columns`, for the RK4 and Newton kernels that run
+hosts.  `compile_components`, for the RK4 and Newton kernels that run
 thousands of times, renders the tape as straight-line source and compiles
-it once; the kernel returns the requested values and deletes each
-temporary after its last use, so a large batch holds only the live ones.
-`compile_scaled`, behind every sampled zero test, evaluates its expression
-once, so it runs the tape directly, with no source text and no `exec`: the
-same operators and functions in the same order, so the same bits.  It also
-returns per row the largest |subterm|, which sets the relative tolerance,
-and a mask of the rows where every subterm is finite, which are the rows
-the tree walk `expr.evaluate` can evaluate.
+it once; each output goes into out, by its own ufunc where it has one,
+and each temporary is deleted after its last use.  `compile_scaled`, behind every sampled zero
+test, evaluates its expression once, so it runs the tape directly, with no
+source text and no `exec`: the same operators and functions in the same
+order, so the same bits.  It also returns per row the largest |subterm|,
+which sets the relative tolerance, and a mask of the rows where every
+subterm is finite, which are the rows the tree walk `expr.evaluate` can
+evaluate.
 
 Every RK4 integration goes through `rk4_march`, which marches one stacked
 state: a C-contiguous array with one row per component and one column per
-point.  A block of BLOCK_ROWS points allocates its stage buffers once, two
-stage derivatives, one stage input and one accumulator, and every stage
-combination is one whole-array ufunc call with `out=`, so a step allocates
-no temporaries.  The derivative f(y, out) writes F at the state y into out;
-`into_rows` makes one from a column kernel by copying the kernel's values,
-so the march never writes into a kernel's output nor into the caller's
-arrays.  on_step sees the march's own state, which the next step
-overwrites: a caller that keeps it copies it.  A point that leaves the
-guard bounds or turns non-finite is masked at its own step; the arithmetic
-is elementwise, so a point's states are the same bits whether it is marched
-alone or in a batch.  The variational equation is marched as an augmented
-state whose derivative (`variational_kernel`) writes F and J_F J straight
-into the stage buffer.
+point.  A block of BLOCK_ROWS points allocates its stage buffers once, and
+every stage combination is one whole-array ufunc call with `out=`.  The
+derivative is a kernel k(y, out) writing into a stage buffer.  A point
+that leaves the guard bounds or turns non-finite is masked at its own step;
+the arithmetic is elementwise, so a point's states are the same bits
+whether it is marched alone or in a batch.  The variational equation is
+marched as an augmented state whose derivative is one compiled kernel
+(`variational_kernel`) of F and of the entries of J_F J.
 
 Every Newton solve goes through `newton_batch`, damped Newton on the rows of
-a seed array at once.  Each row keeps its own residual target (the
-right-hand side it solves for), its own step length and its own stop: its
-residual is below tol, its start or its Jacobian is non-finite, its
-Jacobian is singular, its line search finds no decrease down to a step of
-2**-12, or it has used max_iter iterations.  A row's iterates are the same
-bits a single-point solve gives it, because every operation is elementwise
-or per row: the row norms take the same dot product `np.linalg.norm`
-takes, and the stacked `np.linalg.solve` runs the same LAPACK solve per
-matrix.  A stacked solve raises for the whole stack when one matrix is
-singular; that iteration then solves the other matrices as one stack and
-the singular candidates one by one, and only the singular rows stop.  A
-long batch runs in blocks of BLOCK_ROWS rows.
+a seed array at once, whose kernels write into transposed views of the
+solver's own arrays.  Each row keeps its own residual target, step length
+and stop.  A row's iterates are the same bits a single-point solve gives
+it, because every operation is elementwise or per row: the row norms take
+the same dot product `np.linalg.norm` takes, and the stacked
+`np.linalg.solve` runs the same LAPACK solve per matrix.
 """
-
 from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expression, Unary, Var, const_float, int_power
+from .expr import Const, Expression, Unary, Var, add, const_float, int_power, mul
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # the Python operators behind _SYMBOLS, as the rendered source applies them
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+# the ufuncs whose numpy name differs from the tape's, for writes with out=
+_UFUNCS = {"sub": "subtract", "mul": "multiply", "div": "divide", "neg": "negative"}
 
 
 def _literal(v: float) -> str:
@@ -190,8 +181,13 @@ class _Emitter:
             self.tape.append(entry)
         return k
 
-    def _code(self, entry: tuple) -> str:
+    def _code(self, entry: tuple, dest: Optional[str] = None) -> str:
+        """The source of a tape entry's value, or, with dest, of the ufunc
+        call that writes it into dest."""
         op, a, b = entry
+        if dest is not None:
+            args = "".join(self.text(x) + ", " for x in ((a,) if b is None else (a, b)))
+            return f"_np.{_UFUNCS.get(op, op)}({args}out={dest})"
         if op == "col":
             return f"Z[{a}]"
         if op == "neg":
@@ -204,24 +200,43 @@ class _Emitter:
             return f"_np.{op}(t{a})"
         return f"{self.text(a)}{_SYMBOLS[op]}{self.text(b)}"
 
-    def source(self, returns: str, keep: set) -> str:
-        """The tape as the body of _f(Z) returning `returns`.  Every
-        temporary not in `keep`, the set of those returned, is deleted after
-        its last use, so that a batch holds only the live ones, as a nested
-        expression would.  Integer powers call `_pow`, which is `int_power`."""
+    def source(self, outs: list) -> str:
+        """The tape as the body of _f(Z, out=None), which writes outs[i]
+        into out[i] and returns out.  The first output a ufunc computes
+        from a temporary is written by that ufunc into out[i, ...] (the
+        ellipsis keeps a single point's entry a view); a constant, an input
+        column, an integer power or a repeated output is copied there.
+        Every temporary is deleted after its last use, so that a batch holds
+        only the live ones, as a nested expression would.  Integer powers
+        call `_pow`, which is `int_power`."""
         last = {}
         for i, (op, a, b) in enumerate(self.tape):
             if op != "col":
                 for x in (a, b) if op in _BINARY else (a,):
                     if x.__class__ is int:
                         last[x] = i
+        rows: dict = {}
+        for i, o in enumerate(outs):
+            if o.__class__ is int:  # 3.0 == 3, so a constant is no key
+                rows.setdefault(o, []).append(i)
+        lines = [f"    out[{i}] = {_literal(o)}\n" for i, o in enumerate(outs) if o.__class__ is float]
         dead: dict = {}
-        for t, i in last.items():
-            if t not in keep:
-                dead.setdefault(i, []).append(f"t{t}")
-        body = "".join(f"    t{i} = {self._code(entry)}\n" + (f"    del {', '.join(dead[i])}\n" if i in dead else "")
-                       for i, entry in enumerate(self.tape))
-        return f"def _f(Z):\n{body}    return {returns}\n"
+        for t, entry in enumerate(self.tape):
+            at = rows.get(t, ())
+            if at and entry[0] not in ("col", "pow"):
+                code, at = self._code(entry, f"out[{at[0]}, ...]"), at[1:]
+            else:
+                code = self._code(entry)
+            if t in last or at:
+                lines.append(f"    t{t} = {code}\n")
+                dead.setdefault(last.get(t, t), []).append(f"t{t}")
+            else:
+                lines.append(f"    {code}\n")
+            lines += [f"    out[{i}] = t{t}\n" for i in at]
+            if t in dead:
+                lines.append(f"    del {', '.join(dead.pop(t))}\n")
+        head = f"def _f(Z, out=None):\n    if out is None:\n        out = _np.empty(({len(outs)},) + _np.shape(Z[0]))\n"
+        return f"{head}{''.join(lines)}    return out\n"
 
     def run(self, Z) -> list:
         """Every temporary of the tape over the columns Z, in order."""
@@ -242,18 +257,20 @@ class _Emitter:
         return t
 
 
-def compile_columns(exprs: Sequence[Expression]) -> Callable[[Sequence], tuple]:
-    """Compile expressions into a column kernel f(Z) -> (e_1, ..., e_k), where
-    Z[i] is the column of coordinate i + 1.  An integer power is a chain of
-    multiplications (`int_power`) and every other operation is elementwise,
-    so a polynomial kernel gives a row of a batch the bits of the same point
-    alone, on every host; numpy's exp, log, sin and cos may still differ
-    between hosts.  The kernel sets no error state: callers run it under
-    np.errstate."""
+def compile_components(exprs: Sequence[Expression]) -> Callable:
+    """Compile expressions into a kernel k(Z, out=None) -> out: Z[i] is the
+    float column of coordinate i + 1 (arrays of one common shape, or a
+    single point's coordinates), and expression i at those columns is
+    written into out[i], which is returned.  Without out, the kernel
+    allocates one of shape (k,) + shape(Z[0]); a given out may be any view
+    of that shape, a strided one included, but must not overlap Z.  An
+    integer power is a chain of multiplications (`int_power`) and every
+    other operation is elementwise, so a polynomial kernel gives a row of a
+    batch the bits of the same point alone, on every host; numpy's exp,
+    log, sin and cos may still differ between hosts.  The kernel sets no
+    error state: callers run it under np.errstate."""
     em = _Emitter()
-    outs = [em.emit(e) for e in exprs]
-    keep = {o for o in outs if o.__class__ is int}
-    src = em.source(f"({''.join(em.text(o) + ', ' for o in outs)})", keep)
+    src = em.source([em.emit(e) for e in exprs])
     ns: dict = {"_np": np, "_pow": int_power}
     exec(src, ns)
     fn = ns["_f"]
@@ -301,35 +318,6 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
     return run
 
 
-def compile_components(exprs: Sequence[Expression]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile expressions into f(Z) -> values, Z shape (..., n) -> (..., k)."""
-    kernel = compile_columns(exprs)
-
-    def run(Z):
-        Z = np.asarray(Z, dtype=float)
-        # the columns Z[..., i]; .T gives them fastest for a point or a row batch
-        cols = Z.T if Z.ndim <= 2 else np.moveaxis(Z, -1, 0)
-        base = cols[0] * 0.0
-        with np.errstate(all="ignore"):
-            return np.stack([base + v for v in kernel(cols)], axis=-1)
-
-    return run
-
-
-def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a grid of expressions into f(Z) -> (..., rows, cols)."""
-    rows = len(entries)
-    cols = len(entries[0])
-    flat = [e for row in entries for e in row]
-    fn = compile_components(flat)
-
-    def run(Z: np.ndarray) -> np.ndarray:
-        vals = fn(Z)
-        return vals.reshape(vals.shape[:-1] + (rows, cols))
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Runge-Kutta: one classic fixed-step RK4 marcher over a stacked state
 # ---------------------------------------------------------------------------
@@ -339,19 +327,6 @@ def compile_matrix(entries: Sequence[Sequence[Expression]]) -> Callable[[np.ndar
 # 2-vCPU Xeon a 100k-point variational march runs twice as fast in such
 # blocks as in one piece
 BLOCK_ROWS = 4096
-
-
-def into_rows(kernel: Callable) -> Callable:
-    """A column kernel (`compile_columns`) as the derivative rk4_march
-    takes: f(y, out) writes the kernel's values at the state y into the
-    rows of out.  A value may be a Python float (a constant component) or
-    one of y's own rows; it is copied, never kept."""
-
-    def f(y, out):
-        for row, v in zip(out, kernel(y)):
-            row[...] = v
-
-    return f
 
 
 def rk4_march(
@@ -368,8 +343,8 @@ def rk4_march(
     sets the direction).  z[i] holds component i over the points: z is an
     array of shape (m, ...) or a sequence of m equal-shape columns, and a
     point is one index into the trailing axes.  f(y, out) writes F at the
-    state y into out, both of shape (m, ...); `into_rows` makes one from a
-    column kernel.
+    state y into out, both of shape (m, ...): a kernel
+    (`compile_components`) of F's components is one.
 
     The march copies z once into its own C-contiguous state and keeps, per
     block, two stage-derivative buffers, one stage-input buffer and one
@@ -454,52 +429,42 @@ def rk4_path(f: Callable, z: Sequence, h, steps: int, lo=None, hi=None) -> tuple
     return np.stack(path), died
 
 
-def variational_kernel(f: Callable, jac: Callable, n: int) -> Callable:
-    """The derivative f(y, out) of the variational system z' = F(z),
-    J' = J_F(z) J over the state rows (z_1, ..., z_n, J_11, J_12, ..., J_nn),
-    J row-major, from the column kernels of F and of its row-major Jacobian.
-    F goes to out's first n rows.  Row i of J_F J is written into its n
-    rows of out as the sum over k of J_F[i, k] times row k of J, left to
-    right over k, so each entry is the column-by-column sum; constant
-    Jacobian entries stay Python floats."""
-    write_f = into_rows(f)
-
-    def g(y, out):
-        z, J = y[:n], y[n:]
-        write_f(z, out)
-        A = jac(z)
-        term = np.empty((n,) + y.shape[1:])
-        for i in range(n):
-            a = A[i * n : (i + 1) * n]
-            acc = out[n + i * n : n + (i + 1) * n]
-            np.multiply(a[0], J[:n], out=acc)
-            for k in range(1, n):
-                np.multiply(a[k], J[k * n : (k + 1) * n], out=term)
-                np.add(acc, term, out=acc)
-
-    return g
+@lru_cache(maxsize=32)
+def variational_kernel(components: tuple, jacobian_rows: tuple) -> Callable:
+    """The kernel of the variational system z' = F(z), J' = J_F(z) J over
+    the state rows (z_1, ..., z_n, J_11, J_12, ..., J_nn), J row-major,
+    from F's components and the rows of its Jacobian, compiled once per
+    field.  Entry (i, j) of J_F J is the sum over k of dF_i/dz_k J_kj, left
+    to right over k, built from raw nodes (`expr.add`, `expr.mul`):
+    simplify would reorder the sum and move bits."""
+    n = len(components)
+    products = tuple(reduce(add, (mul(row[k], Var(n + 1 + k * n + j)) for k in range(n)))
+                     for row in jacobian_rows for j in range(n))
+    return compile_components(components + products)
 
 
 def rk4_variational(
-    f: Callable,
-    jac: Callable,
+    components: Sequence[Expression],
+    jacobian_rows: Sequence[Sequence[Expression]],
     z0: np.ndarray,
     t_total: float,
     steps: int,
 ) -> tuple:
-    """Integrate dz/dt = F(z) together with dJ/dt = J_F(z) J, J(0) = I.
+    """Integrate dz/dt = F(z) together with dJ/dt = J_F(z) J, J(0) = I, for
+    the field F with these components and these Jacobian rows, by marching
+    `variational_kernel` with rk4_march.
 
     Returns (z(T), J(T)) where J is the Jacobian of the time-T flow map with
     respect to the initial state.  Batched: z0 of shape (N, n) gives J of
-    shape (N, n, n).  f and jac are the column kernels (compile_columns)
-    of F and of its row-major Jacobian entries.
+    shape (N, n, n).
     """
     z = np.asarray(z0, dtype=float)
     n = z.shape[-1]
     y = np.empty((n + n * n,) + z.shape[:-1])
     y[:n] = np.moveaxis(z, -1, 0)
     y[n:] = np.eye(n).reshape((n * n,) + (1,) * (z.ndim - 1))
-    y, _ = rk4_march(variational_kernel(f, jac, n), y, t_total / steps, steps)
+    kernel = variational_kernel(tuple(components), tuple(map(tuple, jacobian_rows)))
+    y, _ = rk4_march(kernel, y, t_total / steps, steps)
     zT = np.stack(y[:n], axis=-1)
     JT = np.stack(y[n:], axis=-1).reshape(z.shape[:-1] + (n, n))
     return zT, JT
@@ -548,14 +513,17 @@ def newton_batch(
     max_iter: int = 100,
 ) -> tuple:
     """Damped Newton on every row of seeds (N, n) at once: row i solves
-    f(x) = target[i] (0 without a target) from seeds[i], with f and jac
-    taking rows (m, n) to (m, n) and (m, n, n).
+    f(x) = target[i] (0 without a target) from seeds[i], with f and jac the
+    kernels (`compile_components`) of f's n components and of its n*n
+    row-major Jacobian entries.  They write into transposed views of the
+    solver's own (m, n) and (m, n, n) arrays.
 
     Per row: stop, converged, once the residual norm is below tol; stop,
-    not converged, on a non-finite start (residual inf), a non-finite or
-    singular Jacobian, or a line search that halves the step down to 2**-12
-    without lowering the residual norm; after max_iter iterations, a row is
-    converged if its residual norm is below tol.  Returns (x, converged,
+    not converged, on a non-finite start (seed or residual; residual inf), a
+    non-finite or singular Jacobian, or a line search that halves the step
+    down to 2**-12 without reaching a finite iterate of lower residual norm;
+    after max_iter iterations, a row is converged if its residual norm is
+    below tol.  Returns (x, converged,
     residual) with the rows' last iterates and residual norms.  Runs in
     blocks of BLOCK_ROWS rows, under np.errstate(all="ignore").
     """
@@ -575,12 +543,19 @@ def newton_batch(
     if rows == 0:
         return x, converged, r
 
+    n = x.shape[1]
+
     def residual(X, at):
-        return f(X) if target is None else f(X) - target[at]
+        fx = np.empty_like(X)
+        f(X.T, fx.T)
+        if target is not None:
+            np.subtract(fx, target[at], out=fx)
+        return fx
 
     with np.errstate(all="ignore"):
         fx = residual(x, slice(None))
-        live = np.flatnonzero(np.isfinite(fx).all(axis=1))
+        # a kernel may give finite values at a non-finite point, so both count
+        live = np.flatnonzero(np.isfinite(fx).all(axis=1) & np.isfinite(x).all(axis=1))
         r[live] = row_norms(fx[live])
         for _ in range(max_iter):
             done = r[live] < tol
@@ -588,7 +563,8 @@ def newton_batch(
             live = live[~done]
             if not len(live):
                 break
-            J = jac(x[live])
+            J = np.empty((len(live), n, n))
+            jac(x[live].T, J.reshape(len(live), n * n).T)
             finite = np.isfinite(J).all(axis=(1, 2))
             live, J = live[finite], J[finite]
             step, solved = solve_rows(J, -fx[live])
@@ -601,7 +577,7 @@ def newton_batch(
                 at = live[searching]
                 xn = x[at] + lam[searching, None] * step[searching]
                 fn = residual(xn, at)
-                finite = np.isfinite(fn).all(axis=1)
+                finite = np.isfinite(fn).all(axis=1) & np.isfinite(xn).all(axis=1)
                 rn = np.full(len(at), np.inf)
                 rn[finite] = row_norms(fn[finite])
                 better = finite & (rn < r[at])

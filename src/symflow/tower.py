@@ -19,7 +19,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expression, int_power
 from .fields import VectorField, divergence, lie_derivative
-from .numeric import compile_columns, into_rows, rk4_path
+from .numeric import compile_components, rk4_path
 
 NODE_BUDGET = 100_000
 ORACLE_STEP = 1e-3
@@ -158,10 +158,9 @@ _STENCILS = {
 
 @lru_cache(maxsize=32)
 def _oracle_kernels(F: VectorField):
-    """The column kernel of div F, the march derivative of F, and the escape
-    guard, per field."""
+    """The kernels of div F and of F, and the escape guard, per field."""
     guard = F.domain.inflate(ESCAPE_INFLATION)
-    return compile_columns([divergence(F)]), into_rows(compile_columns(F.components)), guard.lows, guard.highs
+    return compile_components([divergence(F)]), compile_components(F.components), guard.lows, guard.highs
 
 
 def tower_fd_oracle(F: VectorField, z: Sequence[float], order: int, h: float = ORACLE_STEP) -> float:

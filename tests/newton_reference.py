@@ -1,6 +1,8 @@
 """Scalar references for the batched Newton layer: one seed at a time, one
 point per kernel call.  `numeric.newton_batch` and `fields._polish_roots`
-must give every row the bits these give it."""
+must give every row the bits these give it.  f and jac are kernels
+(`numeric.compile_components`): at a point x of n coordinates they give the
+n values of f and the n*n row-major entries of its Jacobian."""
 
 import numpy as np
 
@@ -13,13 +15,13 @@ def damped_newton(f, jac, x0, tol=1e-10, max_iter=100):
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
-    if not np.all(np.isfinite(fx)):
+    if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(x))):
         return x, False, float("inf")
     for _ in range(max_iter):
         r = float(np.linalg.norm(fx))
         if r < tol:
             return x, True, r
-        J = jac(x)
+        J = jac(x).reshape(len(x), len(x))
         if not np.all(np.isfinite(J)):
             return x, False, r
         try:
@@ -31,7 +33,7 @@ def damped_newton(f, jac, x0, tol=1e-10, max_iter=100):
         while lam >= 2.0**-12:
             xn = x + lam * step
             fn = f(xn)
-            if np.all(np.isfinite(fn)) and np.linalg.norm(fn) < r:
+            if np.all(np.isfinite(fn)) and np.all(np.isfinite(xn)) and np.linalg.norm(fn) < r:
                 x, fx = xn, fn
                 improved = True
                 break
@@ -61,8 +63,10 @@ def newton_rows(f, jac, seeds, target=None, tol=1e-10, max_iter=100):
 def polish_root(f, jac_fn, x, max_iter=80, step_tol=1e-13):
     """Full Newton steps past the residual tolerance, for one root."""
     for _ in range(max_iter):
-        fx = f(x)
-        J = jac_fn(x)
+        # the kernels set no error state; the solve and the step are unguarded
+        with np.errstate(all="ignore"):
+            fx = f(x)
+            J = jac_fn(x).reshape(len(x), len(x))
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
             return x
         try:

@@ -1,8 +1,9 @@
 """The list-of-columns RK4 marcher that `numeric.rk4_march` replaced, kept as
 a test-only reference: every stage combination is a fresh array per column,
-and the derivative is a column kernel returning one value per component.
-`numeric.rk4_march` and `numeric.variational_kernel` must give every state
-and every `died` entry the bits these give it."""
+and the derivative f(z) returns one value per component from the list of
+columns z (a kernel of `numeric.compile_components` called without out is
+one).  `numeric.rk4_march` and `numeric.variational_kernel` must give every
+state and every `died` entry the bits these give it."""
 
 import numpy as np
 
@@ -41,8 +42,9 @@ def rk4_march(f, z, h, steps, lo=None, hi=None, on_step=None):
 
 def variational_kernel(f, jac, n):
     """Column kernel of z' = F(z), J' = J_F(z) J over the columns
-    (z_1, ..., z_n, J_11, ..., J_nn), J row-major: each entry of J_F J is
-    n column products summed left to right over the inner index."""
+    (z_1, ..., z_n, J_11, ..., J_nn), J row-major, from the kernels of F
+    and of its n*n row-major Jacobian entries: each entry of J_F J is n
+    column products summed left to right over the inner index."""
 
     def g(y):
         z, J = y[:n], y[n:]

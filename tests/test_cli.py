@@ -389,6 +389,21 @@ class TestCleanExit:
         assert result in (0, 1)
         assert json.loads(captured.out)["exit_code"] == result
 
+    WIDE = "dim=2\nF1=y\nF2=-x\nS1=-x\nS2=y\nbox=-1e308,1e308,-2,2\n"
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--kind", "reversibility", "--flow"],
+        ["candidates", "--kind", "reversibility", "--grid", "4x4"],
+    ], ids=["check-flow", "candidates"])
+    def test_box_wider_than_the_largest_float_is_usage_error(self, tmp_path, capsys, command):
+        # each bound is finite, but hi - lo overflows: the flow check once
+        # raised OverflowError from sampling, the table warned and exited 3
+        spec = write(tmp_path, "wide.spec", self.WIDE)
+        assert main([command[0], spec, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "symflow: interval [-1e+308, 1e+308] has a width that is not finite\n"
+
     @pytest.mark.parametrize("text, code", [
         (LV_GOOD.replace("a=1", "a=1/0"), 2),
         (GENERIC.replace("box=-2,2,-2,2", "box=-2,1e999,-2,2"), 2),

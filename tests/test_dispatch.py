@@ -20,7 +20,7 @@ import pytest
 
 import symflow
 from symflow.cli import main
-from symflow.numeric import compile_columns
+from symflow.numeric import compile_components
 from symflow.parser import parse
 
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -44,7 +44,7 @@ def work(spec_path: str) -> dict:
     and of a polynomial reversibility report with the flow comparison."""
     rng = np.random.default_rng(0)
     Z = rng.uniform(-2, 2, (2, 4096))
-    (col,) = compile_columns([parse("x^3 + y^5 - 3*x*y^4", 2)])(Z)
+    (col,) = compile_components([parse("x^3 + y^5 - 3*x*y^4", 2)])(Z)
     with open(spec_path, "w", encoding="utf-8") as fh:
         fh.write(SPEC)
     out = io.StringIO()

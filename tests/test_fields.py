@@ -230,11 +230,11 @@ class TestCriticalPoints:
 
     def test_batched_polish_matches_one_root_at_a_time(self):
         from symflow.fields import _polish_roots
-        from symflow.numeric import compile_components, compile_matrix
+        from symflow.numeric import compile_components
 
         F = field2("x^2 + y^3", "sqrt(y) - x", box=DomainBox.cube(-2, 2, 2))
         f = compile_components(F.components)
-        jac = compile_matrix(jacobian(F).entries)
+        jac = compile_components([e for row in jacobian(F).entries for e in row])
         # a degenerate root, a singular Jacobian at the origin, a non-finite
         # residual (y < 0) and ordinary starts
         X = np.array([[1e-4, 1e-8], [0.0, 0.0], [0.5, -1.0], [0.3, 0.2], [-0.7, 0.4]])

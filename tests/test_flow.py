@@ -13,7 +13,7 @@ from symflow.flow import (
     trajectory_to_csv,
 )
 from symflow.geometry import DomainBox
-from symflow.numeric import compile_columns, into_rows, rk4_march
+from symflow.numeric import compile_components, rk4_march
 from symflow.parser import parse
 from symflow.verdict import CheckKind, Status
 
@@ -56,7 +56,7 @@ class TestIntegrate:
 
     def test_time_symmetry(self):
         F = field2("y", "-sin(x)")
-        f = into_rows(compile_columns(F.components))
+        f = compile_components(F.components)
         z = np.array([0.5, 0.3])
         there, _ = rk4_march(f, z, 1.0 / 1000, 1000)
         back, _ = rk4_march(f, there, -1.0 / 1000, 1000)

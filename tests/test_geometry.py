@@ -18,6 +18,13 @@ class TestDomainBox:
         with pytest.raises(ValueError):
             DomainBox([])
 
+    def test_interval_of_non_finite_width_rejected(self):
+        # finite bounds whose difference overflows, and infinite bounds
+        for lo, hi in ((-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="^interval .* has a width that is not finite$"):
+                DomainBox([(0.0, 1.0), (lo, hi)])
+        assert DomainBox([(-1e308, 0.0)]).volume() == 1e308
+
     def test_contains_and_slack(self):
         box = DomainBox([(0, 1), (-1, 1)])
         assert box.contains((0.5, 0.0))

@@ -9,6 +9,7 @@ agree bit for bit, since both take integer powers by `expr.int_power`.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from symflow.expr import (
     sub,
 )
 from symflow.geometry import DomainBox
-from symflow.numeric import compile_columns, compile_scaled
+from symflow.numeric import compile_components, compile_scaled
 from symflow.verdict import Status
 
 # the kernel's value and scale may differ from the tree walk's by this many
@@ -193,7 +194,7 @@ def test_constant_zero_divisor_raises_nothing():
     e = div(Const(1), sub(Const(2), Const(2)))
     value, scale, ok = compile_scaled(e)(POINTS.T)
     assert not ok.any()
-    (col,) = compile_columns([add(X, e)])(POINTS.T)
+    (col,) = compile_components([add(X, e)])(POINTS.T)
     assert np.isinf(col).all()
     v = sampled_zero_verdict(e, DomainBox.cube(-1, 1, 2), trials=20)
     assert v.status is Status.INCONCLUSIVE and "all 20" in v.notes
@@ -224,10 +225,12 @@ def test_shared_subtrees_are_emitted_once():
     s = Unary("sin", mul(X, Y))
     t = Unary("sin", mul(X, Y))
     e = add(add(mul(s, s), t), Unary("cos", mul(X, Y)))
-    src = compile_columns([e]).source
+    src = compile_components([e]).source
     assert src.count("_np.sin(") == 1 and src.count("_np.cos(") == 1
-    assert src.count("Z[0]") == 1 and src.count("Z[1]") == 1
-    assert src.count(" = ") == 8  # x, y, x*y, sin, sin^2, +, cos, +
+    assert src.count(" = Z[0]") == 1 and src.count(" = Z[1]") == 1
+    # x, y, x*y, sin, sin^2, +, cos are temporaries; the last + goes to out
+    assert len(re.findall(r"^    t\d+ = ", src, re.M)) == 7
+    assert src.count("_np.add(t5, t6, out=out[0, ...])") == 1
     assert_matches_walk(e, POINTS)
 
 
@@ -264,7 +267,7 @@ def test_deep_trees_compile_flat():
         e = add(e, mul(Const(k % 7), Y))
     pts = np.array([[1.0, 2.0], [0.5, -1.0]])
     want = pts[:, 0] + sum(k % 7 for k in range(3000)) * pts[:, 1]
-    (col,) = compile_columns([e])(pts.T)
+    (col,) = compile_components([e])(pts.T)
     np.testing.assert_allclose(col, want, rtol=1e-12)
     value, _, ok = compile_scaled(e)(pts.T)
     assert ok.all()
@@ -272,29 +275,32 @@ def test_deep_trees_compile_flat():
 
 
 def test_column_kernels_free_dead_temporaries():
-    # every temporary but the returned ones is deleted once, after its last
-    # use, so a large batch holds only the live ones
+    # every temporary is deleted once, right after its last use, so a large
+    # batch holds only the live ones; the outputs live in out
     e = Unary("sin", add(mul(X, Y), pow_(Y, 2)))
-    src = compile_columns([e, mul(X, Y)]).source
-    assigned = [line.split(" = ")[0].strip() for line in src.splitlines() if " = " in line]
-    deleted = [t.strip() for line in src.splitlines() if line.strip().startswith("del ")
-               for t in line.strip()[4:].split(",")]
-    returned = src.splitlines()[-1]
-    kept = [t for t in assigned if t in returned.replace("(", " ").replace(",", " ").split()]
-    assert sorted(deleted) == sorted(set(assigned) - set(kept)) and len(kept) == 2
+    lines = compile_components([e, mul(X, Y)]).source.splitlines()
+    assigned = [m.group(1) for m in (re.match(r"    (t\d+) = ", line) for line in lines) if m]
+    deleted = {t.strip(): i for i, line in enumerate(lines) if line.startswith("    del ")
+               for t in line[8:].split(",")}
+    assert sorted(deleted) == sorted(assigned) and len(assigned) == 5  # x, y, x*y, y^2, +
+    for t, at in deleted.items():
+        used = [i for i, line in enumerate(lines) if re.search(rf"\b{t}\b", line) and not line.startswith("    del ")]
+        assert at == max(used) + 1
+    assert "_np.sin(t4, out=out[0, ...])" in lines[-3] and lines[-1] == "    return out"
+    assert any("out=out[1, ...]" in line for line in lines)
 
 
 @given(trees())
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_tape_matches_the_rendered_kernel_bit_for_bit(e):
-    # compile_scaled runs the emitter's tape; compile_columns renders the
+    # compile_scaled runs the emitter's tape; compile_components renders the
     # same tape as source: the same operations in the same order
     value, _, ok = compile_scaled(e)(POINTS.T)
     if not ok.any() and np.isnan(value).all():
         return  # a non-finite constant: every row fails unevaluated
     with np.errstate(all="ignore"):
-        (col,) = compile_columns([e])(POINTS.T)
+        (col,) = compile_components([e])(POINTS.T)
     col = np.broadcast_to(np.asarray(col, dtype=float), value.shape)
     assert (np.isfinite(value) == np.isfinite(col)).all()
     assert value.tobytes() == col.tobytes()
@@ -313,4 +319,4 @@ def test_sampled_zero_tests_generate_no_code(monkeypatch):
     assert sampled_zero_verdict(e, box, trials=50).status is Status.HOLDS
     assert identically_zero(Unary("exp", X), box, trials=50).status is Status.FAILS
     with pytest.raises(AssertionError, match="exec"):
-        compile_columns([e])
+        compile_components([e])
