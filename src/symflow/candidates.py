@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -427,6 +427,21 @@ def _verify_emitted(F: VectorField, sigma: SmoothMap, kind: CheckKind, rng=None)
     return checks
 
 
+def _route(kind: CheckKind, F: VectorField, hypotheses: List[ConditionReport],
+           conditions: Callable[[], List[ConditionReport]], sigma: Callable[[], SmoothMap],
+           rng=None) -> ClassificationBranch:
+    """One branch of a classification: hypotheses_violated unless every
+    hypothesis passes; else the conditions, called only then, decide
+    between not_exists and exists with the map sigma() re-verified."""
+    if not all(c.passed for c in hypotheses):
+        return ClassificationBranch(kind, HYPOTHESES_VIOLATED, None, hypotheses, {})
+    reports = hypotheses + conditions()
+    if not all(c.passed for c in reports):
+        return ClassificationBranch(kind, NOT_EXISTS, None, reports, {})
+    emitted = sigma()
+    return ClassificationBranch(kind, EXISTS, emitted, reports, _verify_emitted(F, emitted, kind, rng=rng))
+
+
 def classify_lotka_volterra(a, b, c, d, box: Optional[DomainBox] = None) -> Classification:
     """Exact classification of the planar predator-prey family.
 
@@ -437,62 +452,22 @@ def classify_lotka_volterra(a, b, c, d, box: Optional[DomainBox] = None) -> Clas
     """
     a, b, c, d = map(_as_fraction, (a, b, c, d))
     F = lotka_volterra_field(a, b, c, d, box)
-    dom = F.domain
+    bc = ConditionReport("bc_nonzero", b * c != 0, Certainty.CERTAIN,
+                         f"b*c = {b * c}" if b * c else "b = 0 or c = 0 degenerates the system into a triangular one")
 
-    if b * c == 0:
-        cond = ConditionReport(
-            "bc_nonzero",
-            False,
-            Certainty.CERTAIN,
-            "b = 0 or c = 0 degenerates the system into a triangular one",
-        )
-        branch_r = ClassificationBranch(CheckKind.REVERSIBILITY, HYPOTHESES_VIOLATED, None, [cond], {})
-        branch_s = ClassificationBranch(CheckKind.SYMMETRY, HYPOTHESES_VIOLATED, None, [cond], {})
-        return Classification("lotka_volterra", branch_r, branch_s)
+    def swap(s: int) -> Callable[[], SmoothMap]:
+        # (s b y / c, s c x / b)
+        return lambda: SmoothMap([ex.simplify(ex.mul(ex.Const(s * b / c), ex.Var(2))),
+                                  ex.simplify(ex.mul(ex.Const(s * c / b), ex.Var(1)))], F.domain)
 
-    bc_ok = ConditionReport("bc_nonzero", True, Certainty.CERTAIN, f"b*c = {b * c}")
-
-    cond_r = ConditionReport(
-        "a_equals_d", a == d, Certainty.CERTAIN, f"a - d = {a - d}"
+    return Classification(
+        "lotka_volterra",
+        _route(CheckKind.REVERSIBILITY, F, [bc],
+               lambda: [ConditionReport("a_equals_d", a == d, Certainty.CERTAIN, f"a - d = {a - d}")], swap(1)),
+        _route(CheckKind.SYMMETRY, F, [bc],
+               lambda: [ConditionReport("a_plus_d_zero", a + d == 0, Certainty.CERTAIN, f"a + d = {a + d}")],
+               swap(-1)),
     )
-    if cond_r.passed:
-        sigma = SmoothMap(
-            [
-                ex.simplify(ex.mul(ex.Const(b / c), ex.Var(2))),
-                ex.simplify(ex.mul(ex.Const(c / b), ex.Var(1))),
-            ],
-            dom,
-        )
-        verification = _verify_emitted(F, sigma, CheckKind.REVERSIBILITY)
-        branch_r = ClassificationBranch(
-            CheckKind.REVERSIBILITY, EXISTS, sigma, [bc_ok, cond_r], verification
-        )
-    else:
-        branch_r = ClassificationBranch(
-            CheckKind.REVERSIBILITY, NOT_EXISTS, None, [bc_ok, cond_r], {}
-        )
-
-    cond_s = ConditionReport(
-        "a_plus_d_zero", a + d == 0, Certainty.CERTAIN, f"a + d = {a + d}"
-    )
-    if cond_s.passed:
-        sigma = SmoothMap(
-            [
-                ex.simplify(ex.mul(ex.Const(-b / c), ex.Var(2))),
-                ex.simplify(ex.mul(ex.Const(-c / b), ex.Var(1))),
-            ],
-            dom,
-        )
-        verification = _verify_emitted(F, sigma, CheckKind.SYMMETRY)
-        branch_s = ClassificationBranch(
-            CheckKind.SYMMETRY, EXISTS, sigma, [bc_ok, cond_s], verification
-        )
-    else:
-        branch_s = ClassificationBranch(
-            CheckKind.SYMMETRY, NOT_EXISTS, None, [bc_ok, cond_s], {}
-        )
-
-    return Classification("lotka_volterra", branch_r, branch_s)
 
 
 def _sign_profile(e: Expression) -> Optional[str]:
@@ -513,41 +488,46 @@ def _sign_profile(e: Expression) -> Optional[str]:
     return None
 
 
-def _sampled_extrema(e: Expression, lo: float, hi: float, count: int = 100):
+def _sampled_halves(e: Expression, interval: Tuple[float, float]):
+    """(min, max, argmin x) of e over 100 evenly spaced points on each
+    half of the interval, left then right, kept 1e-6 (hi - lo) off its ends
+    and off 0, over the finite values; None when a sampled half has none.
+    A half narrower than two margins is skipped: it reads as the empty
+    range (inf, -inf, nan), which passes every sign test (the other half
+    is then wide, since 0 is inside the interval)."""
+    lo, hi = interval
+    margin = 1e-6 * (hi - lo)
     fn = compile_components([e])
-    xs = np.linspace(lo, hi, count).reshape(-1, 1)
-    with np.errstate(all="ignore"):
-        vals = fn(xs.T)[0]
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return None
-    vals = vals[finite]
-    xs = xs[finite]
-    return float(vals.min()), float(vals.max()), xs, vals
+    halves = []
+    for a, b in ((lo + margin, -margin), (margin, hi - margin)):
+        if a >= b:
+            halves.append((np.inf, -np.inf, np.nan))
+            continue
+        xs = np.linspace(a, b, 100)
+        with np.errstate(all="ignore"):
+            vals = fn(xs[None])[0]
+        finite = np.isfinite(vals)
+        if not finite.any():
+            return None
+        xs, vals = xs[finite], vals[finite]
+        i = int(np.argmin(vals))
+        halves.append((float(vals[i]), float(vals.max()), float(xs[i])))
+    return halves
 
 
 def _positive_away_from_zero(e: Expression, interval: Tuple[float, float], name: str) -> ConditionReport:
-    profile = _sign_profile(e)
-    if profile == "positive":
+    """e > 0 on the interval away from 0: certain for a positive even-power
+    form, else sampled, with the lowest sample (the left one on a tie) as
+    the witness against it."""
+    if _sign_profile(e) == "positive":
         return ConditionReport(name, True, Certainty.CERTAIN, f"{to_string(ex.simplify(e))} is a positive even-power form")
-    lo, hi = interval
-    margin = 1e-6 * (hi - lo)
-    results = []
-    for a, b in ((lo + margin, -margin), (margin, hi - margin)):
-        if a >= b:
-            continue
-        results.append(_sampled_extrema(e, a, b))
-    if not results or any(r is None for r in results):
+    halves = _sampled_halves(e, interval)
+    if halves is None:
         return ConditionReport(name, False, Certainty.PROBABILISTIC, "could not sample the expression")
-    min_val = min(r[0] for r in results)
-    if min_val > 0:
-        return ConditionReport(name, True, Certainty.PROBABILISTIC, f"sampled min {min_val:.3g} > 0")
-    for r in results:
-        idx = int(np.argmin(r[3]))
-        if r[3][idx] <= 0:
-            witness = ((float(r[2][idx][0]),), float(r[3][idx]))
-            return ConditionReport(name, False, Certainty.PROBABILISTIC, f"sampled value {r[3][idx]:.3g} <= 0", witness)
-    return ConditionReport(name, False, Certainty.PROBABILISTIC, "non-positive sample found")
+    low, _, x = min(halves, key=lambda half: half[0])
+    if low > 0:
+        return ConditionReport(name, True, Certainty.PROBABILISTIC, f"sampled min {low:.3g} > 0")
+    return ConditionReport(name, False, Certainty.PROBABILISTIC, f"sampled value {low:.3g} <= 0", ((x,), low))
 
 
 def _v_shape(fprime: Expression, interval: Tuple[float, float]) -> ConditionReport:
@@ -558,41 +538,18 @@ def _v_shape(fprime: Expression, interval: Tuple[float, float]) -> ConditionRepo
         return ConditionReport("fprime_v_shape", True, Certainty.CERTAIN, "derivative sign matches x (standard pattern)")
     if profile == "odd_negative":
         return ConditionReport("fprime_v_shape", True, Certainty.CERTAIN, "mirrored sign pattern accepted (time reversal)")
-    lo, hi = interval
-    margin = 1e-6 * (hi - lo)
-    left = _sampled_extrema(fprime, lo + margin, -margin)
-    right = _sampled_extrema(fprime, margin, hi - margin)
-    if left is None or right is None:
+    halves = _sampled_halves(fprime, interval)
+    if halves is None:
         return ConditionReport("fprime_v_shape", False, Certainty.PROBABILISTIC, "could not sample the derivative")
-    standard = left[1] < 0 and right[0] > 0
-    mirrored = left[0] > 0 and right[1] < 0
-    if standard:
+    (left_min, left_max, _), (right_min, right_max, _) = halves
+    if left_max < 0 and right_min > 0:
         return ConditionReport("fprime_v_shape", True, Certainty.PROBABILISTIC, "sampled: negative left of 0, positive right")
-    if mirrored:
+    if left_min > 0 and right_max < 0:
         return ConditionReport("fprime_v_shape", True, Certainty.PROBABILISTIC, "sampled mirrored pattern accepted (time reversal)")
     return ConditionReport(
         "fprime_v_shape", False, Certainty.PROBABILISTIC,
-        f"sampled ranges left [{left[0]:.3g}, {left[1]:.3g}], right [{right[0]:.3g}, {right[1]:.3g}]",
+        f"sampled ranges left [{left_min:.3g}, {left_max:.3g}], right [{right_min:.3g}, {right_max:.3g}]",
     )
-
-
-def _monotone_increasing(fprime: Expression, interval: Tuple[float, float]) -> ConditionReport:
-    profile = _sign_profile(fprime)
-    if profile == "positive":
-        return ConditionReport("fprime_positive", True, Certainty.CERTAIN, f"{to_string(ex.simplify(fprime))} is a positive even-power form")
-    lo, hi = interval
-    margin = 1e-6 * (hi - lo)
-    left = _sampled_extrema(fprime, lo + margin, -margin)
-    right = _sampled_extrema(fprime, margin, hi - margin)
-    if left is None or right is None:
-        return ConditionReport("fprime_positive", False, Certainty.PROBABILISTIC, "could not sample the derivative")
-    min_val = min(left[0], right[0])
-    if min_val > 0:
-        return ConditionReport("fprime_positive", True, Certainty.PROBABILISTIC, f"sampled min {min_val:.3g} > 0")
-    side = left if left[0] <= right[0] else right
-    idx = int(np.argmin(side[3]))
-    witness = ((float(side[2][idx][0]),), float(side[3][idx]))
-    return ConditionReport("fprime_positive", False, Certainty.PROBABILISTIC, f"sampled value {side[3][idx]:.3g} <= 0", witness)
 
 
 def _parity_condition(e: Expression, name: str, even: bool, box: DomainBox, rng=None) -> ConditionReport:
@@ -646,39 +603,20 @@ def classify_lienard(
     box1 = DomainBox([(lo, hi)])
     F = lienard_field(f, g, box)
     fprime = ex.differentiate(f, 1)
-    xg = ex.mul(ex.Var(1), g)
+    xg_pos = _positive_away_from_zero(ex.mul(ex.Var(1), g), (lo, hi), "xg_positive")
 
-    f_zero = _f_at_zero(f)
-    xg_pos = _positive_away_from_zero(xg, (lo, hi), "xg_positive")
+    def parity(e: Expression, name: str, even: bool) -> ConditionReport:
+        return _parity_condition(e, name, even=even, box=box1, rng=rng)
 
-    # reversibility: f(0)=0, f' > 0 away from 0, x g(x) > 0 away from 0
-    hyp_r = [f_zero, _monotone_increasing(fprime, (lo, hi)), xg_pos]
-    if all(c.passed for c in hyp_r):
-        f_odd = _parity_condition(f, "f_odd", even=False, box=box1, rng=rng)
-        g_odd = _parity_condition(g, "g_odd", even=False, box=box1, rng=rng)
-        conditions = hyp_r + [f_odd, g_odd]
-        if f_odd.passed and g_odd.passed:
-            sigma = SmoothMap([ex.neg(ex.Var(1)), ex.Var(2)], box)
-            verification = _verify_emitted(F, sigma, CheckKind.REVERSIBILITY, rng=rng)
-            branch_r = ClassificationBranch(CheckKind.REVERSIBILITY, EXISTS, sigma, conditions, verification)
-        else:
-            branch_r = ClassificationBranch(CheckKind.REVERSIBILITY, NOT_EXISTS, None, conditions, {})
-    else:
-        branch_r = ClassificationBranch(CheckKind.REVERSIBILITY, HYPOTHESES_VIOLATED, None, hyp_r, {})
-
+    # reversibility, drawing from rng first: f(0)=0, f' > 0 away from 0, x g(x) > 0 away from 0
+    branch_r = _route(
+        CheckKind.REVERSIBILITY, F,
+        [_f_at_zero(f), _positive_away_from_zero(fprime, (lo, hi), "fprime_positive"), xg_pos],
+        lambda: [parity(f, "f_odd", False), parity(g, "g_odd", False)],
+        lambda: SmoothMap([ex.neg(ex.Var(1)), ex.Var(2)], box), rng)
     # symmetry: V-shaped (or mirrored) damping derivative, x g(x) > 0 away from 0
-    hyp_s = [_v_shape(fprime, (lo, hi)), xg_pos]
-    if all(c.passed for c in hyp_s):
-        f_even = _parity_condition(f, "f_even", even=True, box=box1, rng=rng)
-        g_odd = _parity_condition(g, "g_odd", even=False, box=box1, rng=rng)
-        conditions = hyp_s + [f_even, g_odd]
-        if f_even.passed and g_odd.passed:
-            sigma = SmoothMap([ex.neg(ex.Var(1)), ex.neg(ex.Var(2))], box)
-            verification = _verify_emitted(F, sigma, CheckKind.SYMMETRY, rng=rng)
-            branch_s = ClassificationBranch(CheckKind.SYMMETRY, EXISTS, sigma, conditions, verification)
-        else:
-            branch_s = ClassificationBranch(CheckKind.SYMMETRY, NOT_EXISTS, None, conditions, {})
-    else:
-        branch_s = ClassificationBranch(CheckKind.SYMMETRY, HYPOTHESES_VIOLATED, None, hyp_s, {})
-
+    branch_s = _route(
+        CheckKind.SYMMETRY, F, [_v_shape(fprime, (lo, hi)), xg_pos],
+        lambda: [parity(f, "f_even", True), parity(g, "g_odd", False)],
+        lambda: SmoothMap([ex.neg(ex.Var(1)), ex.neg(ex.Var(2))], box), rng)
     return Classification("lienard", branch_r, branch_s)

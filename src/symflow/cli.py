@@ -59,7 +59,7 @@ from .candidates import (
 from .checks import check_structural, check_tower_transform
 from .expr import ExprError
 from .fields import SmoothMap, VectorField, is_involution, is_measure_preserving
-from .flow import IntegratorConfig, check_flow_relation
+from .flow import ESCAPE_INFLATION, IntegratorConfig, check_flow_relation
 from .geometry import DomainBox
 from .parser import ParseError, parse
 from .report import (
@@ -102,7 +102,11 @@ def _parse_box(text: str, dimension: int) -> DomainBox:
         values = [float(Fraction(p)) for p in parts]
     except (ValueError, ArithmeticError) as exc:
         raise SpecError(f"bad box entry: {exc}") from exc
-    return DomainBox(list(zip(values[0::2], values[1::2])))
+    box = DomainBox(list(zip(values[0::2], values[1::2])))
+    # the flow checks march inside the inflated box: a box too wide for
+    # that guard is a usage error for every command
+    box.inflate(ESCAPE_INFLATION)
+    return box
 
 
 def load_system_spec(path: str) -> SystemSpec:

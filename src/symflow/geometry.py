@@ -72,11 +72,14 @@ class DomainBox:
         return np.all((rows >= lo) & (rows <= hi), axis=-1)
 
     def inflate(self, factor: float) -> "DomainBox":
-        """Scale every interval about its midpoint."""
+        """Scale every interval about its midpoint.  An interval whose image
+        is wider than the largest float is named in the ValueError."""
         out = []
         for lo, hi in self.intervals:
-            mid = (lo + hi) / 2.0
+            mid = lo / 2.0 + hi / 2.0
             half = (hi - lo) / 2.0 * factor
+            if not np.isfinite((mid + half) - (mid - half)):
+                raise ValueError(f"interval [{lo}, {hi}] inflated {factor:g} times has a width that is not finite")
             out.append((mid - half, mid + half))
         return DomainBox(out)
 

@@ -360,3 +360,33 @@ class TestClassifyLienard:
         assert fp[0].passed
         assert fp[0].certainty is Certainty.PROBABILISTIC
         assert cl.reversibility.verdict == NOT_EXISTS  # parity fails (x^4 term)
+
+    @staticmethod
+    def condition(branch, name):
+        return next(c for c in branch.conditions if c.name == name)
+
+    def test_lowest_sample_is_the_witness(self):
+        # x g(x) = -x^2 is negative on both halves of (-0.5, 2); the witness
+        # is the lower of the two half minima, near x = 2
+        cl = classify_lienard("x^3", "-x", interval=(-0.5, 2), y_range=(-1, 1))
+        for branch in (cl.reversibility, cl.symmetry):
+            xg = self.condition(branch, "xg_positive")
+            assert not xg.passed and xg.detail == "sampled value -4 <= 0"
+            (x,), value = xg.witness
+            assert x == pytest.approx(2, abs=1e-5) and value == pytest.approx(-4, abs=1e-4)
+
+    def test_half_narrower_than_two_margins_is_skipped(self):
+        # (-1e-7, 0) lies inside the margins, so only (0, 1) is sampled,
+        # where f' = 2x + 3x^2 is positive; parity then decides
+        cl = classify_lienard("x^2 + x^3", "x", interval=(-1e-7, 1))
+        fp = self.condition(cl.reversibility, "fprime_positive")
+        assert fp.passed and fp.detail.startswith("sampled min ")
+        assert cl.reversibility.verdict == NOT_EXISTS
+
+    def test_unsampleable_half_names_what_was_sampled(self):
+        # the derivative of sqrt(x) is nan left of 0: the positivity test
+        # names the expression, the V-shape test the derivative
+        cl = classify_lienard("sqrt(x)", "x")
+        assert self.condition(cl.reversibility, "fprime_positive").detail == "could not sample the expression"
+        assert self.condition(cl.symmetry, "fprime_v_shape").detail == "could not sample the derivative"
+        assert cl.overall == HYPOTHESES_VIOLATED

@@ -389,20 +389,24 @@ class TestCleanExit:
         assert result in (0, 1)
         assert json.loads(captured.out)["exit_code"] == result
 
-    WIDE = "dim=2\nF1=y\nF2=-x\nS1=-x\nS2=y\nbox=-1e308,1e308,-2,2\n"
+    CHECK_FLOW = ["check", "--kind", "reversibility", "--flow"]
+    CANDIDATES = ["candidates", "--kind", "reversibility", "--grid", "4x4"]
+    WIDTH = ("-1e308,1e308", "interval [-1e+308, 1e+308] has a width that is not finite")
+    GUARD = ("-1e308,0", "interval [-1e+308, 0.0] inflated 2 times has a width that is not finite")
 
-    @pytest.mark.parametrize("command", [
-        ["check", "--kind", "reversibility", "--flow"],
-        ["candidates", "--kind", "reversibility", "--grid", "4x4"],
-    ], ids=["check-flow", "candidates"])
-    def test_box_wider_than_the_largest_float_is_usage_error(self, tmp_path, capsys, command):
-        # each bound is finite, but hi - lo overflows: the flow check once
-        # raised OverflowError from sampling, the table warned and exited 3
-        spec = write(tmp_path, "wide.spec", self.WIDE)
+    @pytest.mark.parametrize("command, box, message", [
+        (CHECK_FLOW, *WIDTH), (CANDIDATES, *WIDTH), (CHECK_FLOW, *GUARD), (CANDIDATES, *GUARD),
+    ], ids=["check-flow", "candidates", "check-flow-escape-guard", "candidates-escape-guard"])
+    def test_box_wider_than_the_largest_float_is_usage_error(self, tmp_path, capsys, command, box, message):
+        # each bound is finite, but hi - lo or the width of the flow's
+        # escape guard (the box inflated 2 times) overflows: the flow check
+        # once raised OverflowError from sampling or named the guard's
+        # interval, and the table warned and exited 3
+        spec = write(tmp_path, "wide.spec", f"dim=2\nF1=y\nF2=-x\nS1=-x\nS2=y\nbox={box},-2,2\n")
         assert main([command[0], spec, *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "symflow: interval [-1e+308, 1e+308] has a width that is not finite\n"
+        assert captured.err == f"symflow: {message}\n"
 
     @pytest.mark.parametrize("text, code", [
         (LV_GOOD.replace("a=1", "a=1/0"), 2),

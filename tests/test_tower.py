@@ -1,5 +1,6 @@
 """Divergence towers, selections, sign matrices, and the FD oracle."""
 
+import numpy as np
 import pytest
 
 from symflow.expr import Const, evaluate, node_count, simplify
@@ -160,6 +161,33 @@ class TestOracle:
                 sym = evaluate(t.orders[j], z)
                 fd = tower_fd_oracle(F, z, j)
                 assert abs(fd - sym) < 1e-4 * (1 + abs(sym))
+
+    @pytest.mark.parametrize("texts, z", [
+        (("-x/2 + x^2*sin(2*y)/2 - x^2/2", "y^2/2 + x*y*sin(y)/2 + x^2/2"), (0.752078, -0.785746)),
+        (("-x/2 + x^2*sin(2*y)/2 + x^2/2", "-y^2/2 + x*y*sin(y)/2 - x^2/2"), (-0.698959, 0.7983)),
+    ], ids=["order3-a", "order3-b"])
+    def test_within_the_criterion_8_bound(self, texts, z):
+        # the plain second-order stencil missed by about 1.5e-4 relative at
+        # order 3 here, where h^2/4 |D_5| is large
+        F = field2(*texts)
+        t = build_tower(F, 3)
+        for j in range(4):
+            exact = evaluate(t.orders[j], z)
+            assert abs(tower_fd_oracle(F, z, j) - exact) < 1e-4 * (1 + abs(exact))
+
+    def test_seeded_sweep_over_mild_fields(self):
+        # random planar fields of three terms with coefficients +-1/2, some
+        # with a sine factor, at points in [-0.8, 0.8]^2
+        rng = np.random.default_rng(8)
+        monomials = ["x", "y", "x^2", "x*y", "y^2", "x^2*y", "x*y^2", "x^3", "y^3", "x^2*sin(y)", "x*y*sin(x)"]
+        for _ in range(10):
+            F = field2(*(" + ".join(f"{rng.choice([-1, 1])}/2*{m}" for m in rng.choice(monomials, 3, replace=False))
+                         for _ in range(2)))
+            t = build_tower(F, 3)
+            for z in rng.uniform(-0.8, 0.8, (5, 2)):
+                for j in range(4):
+                    exact = evaluate(t.orders[j], tuple(z))
+                    assert abs(tower_fd_oracle(F, z, j) - exact) < 1e-4 * (1 + abs(exact))
 
     def test_bad_arguments(self):
         F = field2("x^2", "y^2")
