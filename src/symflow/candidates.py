@@ -13,6 +13,7 @@ families additionally admit exact classifications with explicit maps.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -178,6 +179,13 @@ class CandidatePointMap:
         return np.asarray([e.point for e in self.entries])
 
 
+def _unit_exponent(top) -> int:
+    """The k <= 0 for which 2**k * top is below 1, top being the largest
+    |entry| of some array (0 when top is not finite)."""
+    top = float(top)
+    return min(0, -math.frexp(top)[1]) if math.isfinite(top) else 0
+
+
 def candidate_map_table(
     F: VectorField,
     selection: Selection,
@@ -209,7 +217,13 @@ def candidate_map_table(
     anchor_pt = np.asarray(anchor if anchor is not None else box.center(), dtype=float)
     if anchor_pt.shape != (box.dimension,):
         raise ValueError(f"anchor needs {box.dimension} coordinates, got {anchor_pt.size}")
-    order = np.argsort(np.linalg.norm(pts - anchor_pt, axis=1))
+    # distances are taken between points scaled by 2**k, which brings every
+    # coordinate below 1 in size, so that no square overflows; a power of two
+    # scales each difference, square, sum and root exactly, so the distances
+    # keep their order and ties
+    shift = _unit_exponent(max(np.abs(pts).max(initial=0.0), np.abs(anchor_pt).max(initial=0.0)))
+    scaled = np.ldexp(pts, shift)
+    order = np.argsort(np.linalg.norm(scaled - np.ldexp(anchor_pt, shift), axis=1))
 
     spacing = max(
         (hi - lo) / max(k - 1, 1) for (lo, hi), k in zip(box.intervals, grid)
@@ -252,7 +266,7 @@ def candidate_map_table(
         ref_idx = None
         if assigned:
             keys = list(assigned.keys())
-            dists = np.linalg.norm(pts[keys] - z, axis=1)
+            dists = np.linalg.norm(scaled[keys] - scaled[idx], axis=1)
             ref_idx = keys[int(np.argmin(dists))]
         ref_value = (
             np.asarray(assigned[ref_idx].image) if ref_idx is not None else z
@@ -260,14 +274,21 @@ def candidate_map_table(
         consistent = [root for root in roots if root.consistent]
         if not consistent:
             stats["inconsistent"] += 1
-        chosen = min(consistent or roots, key=lambda root: float(np.linalg.norm(np.asarray(root.point) - ref_value)))
+        # the roots lie anywhere, so their steps from ref_value are scaled
+        # on their own; row_norms gives each row np.linalg.norm's bits, and
+        # argmin takes the first nearest root, as min does
+        pool = consistent or roots
+        steps = np.array([root.point for root in pool]) - ref_value
+        shift = _unit_exponent(np.abs(steps).max())
+        jumps = row_norms(np.ldexp(steps, shift))
+        best = int(np.argmin(jumps))
+        chosen = pool[best]
 
         if ref_idx is None:
             branch = next_branch
             next_branch += 1
         else:
-            jump = float(np.linalg.norm(np.asarray(chosen.point) - ref_value))
-            if jump > switch_threshold:
+            if jumps[best] > math.ldexp(switch_threshold, shift):
                 stats["branch_switches"] += 1
                 branch = next_branch
                 next_branch += 1

@@ -240,68 +240,94 @@ _PREC_POW = 40
 _PREC_ATOM = 100
 
 
-def _precedence(e: Expression) -> int:
-    if isinstance(e, Const):
-        return _PREC_NEG if e.value < 0 else (_PREC_MUL if e.value.denominator != 1 else _PREC_ATOM)
-    if isinstance(e, Var):
-        return _PREC_ATOM
-    if isinstance(e, Unary):
-        return _PREC_NEG if e.op == "neg" else _PREC_ATOM
-    return {"add": _PREC_ADD, "sub": _PREC_ADD, "mul": _PREC_MUL, "div": _PREC_MUL, "pow": _PREC_POW}[e.op]
+def _const_text(v) -> str:
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{v.numerator}/{v.denominator}"
 
 
-def _wrap(e: Expression, s: str, context_prec: int) -> str:
-    if _precedence(e) < context_prec:
-        return f"({s})"
-    return s
+def _const_part(v) -> tuple:
+    """(text, precedence) of the rational constant v, an int or a Fraction."""
+    return _const_text(v), _PREC_NEG if v < 0 else (_PREC_MUL if v.denominator != 1 else _PREC_ATOM)
+
+
+def _var_part(index: int) -> tuple:
+    return (f"z{index}" if index > 3 else "xyz"[index - 1]), _PREC_ATOM
+
+
+def _wrap(part: tuple, context_prec: int) -> str:
+    text, prec = part
+    if prec < context_prec:
+        return f"({text})"
+    return text
 
 
 _INFIX = {"add": (" + ", _PREC_ADD), "sub": (" - ", _PREC_ADD), "mul": ("*", _PREC_MUL), "div": ("/", _PREC_MUL)}
 
 
-def _render(e: Expression, parts: list) -> str:
-    """e's text from the texts of its operands, popped off the end of parts."""
-    if isinstance(e, Const):
-        v = e.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(e, Var):
-        return f"z{e.index}" if e.index > 3 else "xyz"[e.index - 1]
-    if isinstance(e, Unary):
-        arg = parts.pop()
-        if e.op == "neg":
-            return "-" + _wrap(e.arg, arg, _PREC_NEG + 1)
-        return f"{e.op}({arg})"
-    right = parts.pop()
-    left = parts.pop()
-    if e.op == "pow":
+def _apply(op: str, q, parts: list) -> tuple:
+    """(text, precedence) of op over its operands' (text, precedence),
+    popped off the end of parts; q is a pow's exponent."""
+    if op in _INFIX:
+        right = parts.pop()
+        left = parts.pop()
+        sep, prec = _INFIX[op]
+        return f"{_wrap(left, prec)}{sep}{_wrap(right, prec + 1)}", prec
+    arg = parts.pop()
+    if op == "pow":
         # base needs parens unless it is a plain positive-integer Const, Var
         # or function call; exponent gets parens unless a nonnegative integer
-        base = _wrap(e.left, left, _PREC_ATOM)
-        q = e.right.value
+        base = _wrap(arg, _PREC_ATOM)
         if q.denominator == 1 and q >= 0:
-            return f"{base}^{q.numerator}"
-        return f"{base}^({right})"
-    sep, prec = _INFIX[e.op]
-    return f"{_wrap(e.left, left, prec)}{sep}{_wrap(e.right, right, prec + 1)}"
+            return f"{base}^{q.numerator}", _PREC_POW
+        return f"{base}^({_const_text(q)})", _PREC_POW
+    if op == "neg":
+        return "-" + _wrap(arg, _PREC_NEG + 1), _PREC_NEG
+    return f"{op}({arg[0]})", _PREC_ATOM
+
+
+def _nf_part(nf: dict) -> tuple:
+    """(text, precedence) of the canonical tree of an exact nf (no opaque
+    base), read off nf: an atom prints its argument's kept text."""
+    parts: list = []
+    for node in _nf_postorder(nf):
+        op = node[0]
+        if op == "const":
+            parts.append(_const_part(node[1]))
+        elif op == "v":
+            parts.append(_var_part(node[1]))
+        elif op == "f":
+            parts.append((_text(node[2]), _PREC_ATOM))
+            parts.append(_apply(node[1], None, parts))
+        else:
+            parts.append(_apply(op, node[1], parts))
+    return parts[0]
 
 
 def to_string(e: Expression) -> str:
-    """Deterministic infix rendering; parses back to the same tree."""
+    """Deterministic infix rendering; parses back to the same tree.  A node
+    with an NF is printed off its NF."""
     parts: list = []
     todo: list = [e]
     while todo:
         node = todo.pop()
         if type(node) is tuple:  # (node,): its operands are rendered
-            parts.append(_render(node[0], parts))
+            node = node[0]
+            parts.append(_apply(node.op, node.right.value if node.op == "pow" else None, parts))
+        elif node._nf is not None:
+            parts.append(_nf_part(node._nf))
         elif isinstance(node, Unary):
             todo += ((node,), node.arg)
         elif isinstance(node, Binary):
-            todo += ((node,), node.right, node.left)
+            todo.append((node,))
+            if node.op != "pow":
+                todo.append(node.right)
+            todo.append(node.left)
+        elif isinstance(node, Const):
+            parts.append(_const_part(node.value))
         else:
-            parts.append(_render(node, parts))
-    return parts[0]
+            parts.append(_var_part(node.index))
+    return parts[0][0]
 
 
 def _children(e: Expression) -> tuple:
@@ -407,10 +433,14 @@ for _cls in (Const, Var, Unary, Binary):
 # `_canonical` returns a Binary that holds only the NF, and
 # `Binary.__getattr__` builds its op, left and right with `_nf_to_expr` when
 # one is first read.  `_to_nf`, `is_polynomial`, `max_var_index` and
-# `node_count` read the NF instead, so a check that decides on NFs (a tower
-# order, a sigma-image, a residual that cancels) never builds the tree;
-# equality, hashing, printing and evaluation build it and see the same tree
-# as ever.  A walk with an NF shortcut tests `_nf` before any field.
+# `node_count` read the NF instead, and so do `to_string` and the kernel
+# emitter (`numeric._Emitter`), which walk the tree's nodes off the NF with
+# `_nf_postorder`, the one place that shapes a canonical tree, and give the
+# text and the kernel of that tree.  So neither a check that decides on
+# NFs (a tower order, a sigma-image, a residual that cancels) nor a sampled
+# check builds the tree; equality, hashing and reads of its fields (the
+# tree-walking evaluators among them) build it and see the same tree as
+# ever.  A walk with an NF shortcut tests `_nf` before any field.
 #
 # On exact data (a remembered NF, or a syntactic polynomial) differentiate,
 # compose and derivative_along work on the dict.  A derivative takes the
@@ -673,54 +703,58 @@ def _sum_chain(e: Binary) -> tuple:
     return e, chain
 
 
-def _base_to_expr(bk) -> Expression:
-    if bk[0] == "v":
-        return Var(bk[1])
-    if bk[0] == "f":
-        return Unary(bk[1], bk[2])
-    return bk[1]
-
-
-def _factor_to_expr(bk, e) -> Expression:
-    base = _base_to_expr(bk)
-    if e == 1:
-        return base
-    return Binary("pow", base, Const(e))
-
-
-def _term_to_expr(coeff, mono) -> Expression:
-    factors = [_factor_to_expr(bk, e) for bk, e in mono]
-    if not factors:
-        return Const(coeff)
-    if coeff == 1:
-        tree = factors[0]
-        rest = factors[1:]
-    elif coeff == -1:
-        inner = factors[0]
-        for f in factors[1:]:
-            inner = mul(inner, f)
-        return neg(inner)
-    else:
-        tree = Const(coeff)
-        rest = factors
-    for f in rest:
-        tree = mul(tree, f)
-    return tree
+def _nf_postorder(nf: dict):
+    """The nodes of the canonical tree of a nonempty nf in postorder, read
+    off nf without building them, as (op, x) pairs:
+      ("const", c)                      the constant c
+      ("v", i), ("f", name, u), ("e", u)  a base, by its key
+      ("pow", p)                        the node before, to the power p
+      ("neg", None)                     the negation of the node before
+      ("add" | "sub" | "mul", None)     the two nodes before, in order
+    The tree is a left fold of add/sub over the terms in `_term_key` order,
+    each term after the first taken with |c|.  A term is its coefficient c
+    and then a left fold of mul over its factors, with no coefficient node
+    when c is 1 and the neg of the product when c is -1; a factor is its
+    base, under a pow when its exponent is not 1."""
+    for k, m in enumerate(sorted(nf, key=_term_key(nf))):
+        c = nf[m] if k == 0 else abs(nf[m])
+        scaled = not m or (c != 1 and c != -1)
+        if scaled:
+            yield ("const", c)
+        for j, (bk, p) in enumerate(m):
+            yield bk
+            if p != 1:
+                yield ("pow", p)
+            if j or scaled:
+                yield ("mul", None)
+        if m and c == -1:
+            yield ("neg", None)
+        if k:
+            yield ("sub", None) if nf[m] < 0 else ("add", None)
 
 
 def _nf_to_expr(nf: dict) -> Expression:
     if not nf:
         return ZERO
-    terms = sorted(nf, key=_term_key(nf))
-    first = terms[0]
-    tree = _term_to_expr(nf[first], first)
-    for m in terms[1:]:
-        c = nf[m]
-        if c < 0:
-            tree = sub(tree, _term_to_expr(-c, m))
+    stack: list = []
+    for node in _nf_postorder(nf):
+        op, x = node[0], node[1]
+        if op == "const":
+            stack.append(Const(x))
+        elif op == "v":
+            stack.append(Var(x))
+        elif op == "f":
+            stack.append(Unary(x, node[2]))
+        elif op == "e":
+            stack.append(x)
+        elif op == "pow":
+            stack.append(Binary("pow", stack.pop(), Const(x)))
+        elif op == "neg":
+            stack.append(Unary("neg", stack.pop()))
         else:
-            tree = add(tree, _term_to_expr(c, m))
-    return tree
+            right = stack.pop()
+            stack.append(Binary(op, stack.pop(), right))
+    return stack[0]
 
 
 def _canonical(nf: dict) -> Expression:

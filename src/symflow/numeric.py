@@ -10,7 +10,9 @@ rather than exceptions; callers mask them and set np.errstate.
 
 One emitter (`_Emitter`) records every kernel as a tape of numpy
 operations, one common-subexpression temporary per distinct subterm, and
-folds subterms without variables into constants.  An integer power is one
+folds subterms without variables into constants.  A canonical tree that
+remembers its normal form is emitted off that form, without building the
+tree, and gives the tape the tree would.  An integer power is one
 tape entry, computed by the tree walk's own chain of multiplications
 (`expr.int_power`), so a polynomial kernel gives the same bits on every
 row, point and host; numpy's exp, log, sin and cos may differ between
@@ -49,11 +51,12 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expression, Unary, Var, add, const_float, int_power, mul
+from .expr import Const, Expression, Unary, Var, _nf_postorder, add, const_float, int_power, mul
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # the Python operators behind _SYMBOLS, as the rendered source applies them
@@ -107,6 +110,13 @@ class _Emitter:
     deep tree meets neither the recursion limit nor the parser's nesting
     limit.  `consts` holds the value of every constant subterm, leaves
     included; a pow exponent is no subterm.
+
+    A node that remembers its normal form (`_nf`) is emitted off it: the
+    nodes of its canonical tree come from `expr._nf_postorder` in the order
+    the tree's walk reaches them, each through the same hash-cons keys and
+    folds, and an atom's argument is emitted in its turn, on the same
+    stack.  So the tape, `consts` and the source are those of the tree,
+    which is never built.
     """
 
     def __init__(self):
@@ -124,45 +134,93 @@ class _Emitter:
         """Emit root and its subterms, operands before the nodes that use
         them; returns root's temporary index, or its value if constant."""
         seen = self._seen
-        stack = [(root, False)]
+        # (node, None) is a node to visit, (node, True) one whose operands
+        # are emitted, and (node, (nodes, values, atom)) a node being
+        # emitted off its NF, to resume at atom
+        stack: list = [(root, None)]
         while stack:
-            e, ready = stack.pop()
-            if id(e) in seen:
-                continue
+            e, state = stack.pop()
             cls = e.__class__
-            if ready or cls is Const or cls is Var:
+            if state is None:
+                if id(e) in seen:
+                    continue
+                if e._nf is not None:
+                    state = (_nf_postorder(e._nf), [], None)
+                elif cls is Const or cls is Var:
+                    state = True
+                else:
+                    stack.append((e, True))
+                    if cls is Unary:
+                        stack.append((e.arg, None))
+                    else:
+                        if e.op != "pow":
+                            stack.append((e.right, None))
+                        stack.append((e.left, None))
+                    continue
+            if state is True:
                 seen[id(e)] = self._node(e, cls)
                 continue
-            stack.append((e, True))
-            if cls is Unary:
-                stack.append((e.arg, False))
-            else:
-                if e.op != "pow":
-                    stack.append((e.right, False))
-                stack.append((e.left, False))
+            nodes, vals, atom = state
+            atom = self._emit_nf(nodes, vals, atom)
+            if atom is None:
+                seen[id(e)] = vals[0]
+            else:  # emit the atom's argument first
+                stack += ((e, (nodes, vals, atom)), (atom[2], None))
         return seen[id(root)]
+
+    def _emit_nf(self, nodes, vals: list, atom=None):
+        """Emit the nodes of an exact NF (`_nf_postorder`; no opaque base),
+        atom first if given, pushing their values on vals; stop at an atom
+        whose argument is not emitted yet, and return that atom."""
+        seen = self._seen
+        for node in nodes if atom is None else chain((atom,), nodes):
+            op, x = node[0], node[1]
+            if op == "const":
+                vals.append(self._const(const_float(x)))
+            elif op == "v":
+                vals.append(self._var(x))
+            elif op == "f":
+                a = seen.get(id(node[2]))
+                if a is None:
+                    return node
+                vals.append(self._op(x, a))
+            elif op == "pow" or op == "neg":
+                vals.append(self._op(op, vals.pop(), x))
+            else:
+                b = vals.pop()
+                vals.append(self._op(op, vals.pop(), b))
+        return None
 
     def _node(self, e: Expression, cls):
         if cls is Const:
             return self._const(const_float(e.value))
         if cls is Var:
-            self.nvars = max(self.nvars, e.index)
-            return self._temp(("col", e.index - 1, None))
-        op = e.op
+            return self._var(e.index)
         if cls is Unary:
-            a = self._seen[id(e.arg)]
+            return self._op(e.op, self._seen[id(e.arg)])
+        a = self._seen[id(e.left)]
+        if e.op == "pow":
+            return self._op("pow", a, e.right.value)
+        return self._op(e.op, a, self._seen[id(e.right)])
+
+    def _var(self, index: int) -> int:
+        self.nvars = max(self.nvars, index)
+        return self._temp(("col", index - 1, None))
+
+    def _op(self, op: str, a, b=None):
+        """The temporary, or the folded constant, of op over the operands a
+        and b, each a temporary index or a float; b is a pow's rational
+        exponent, and None for a unary op."""
+        if op == "pow":
+            if a.__class__ is float:
+                return self._const(_fold(op, b, a))
+            if b.denominator == 1:
+                return self._temp(("pow", a, int(b)))
+            return self._temp(("float_power", a, float(b)))
+        if b is None:
             if a.__class__ is float:
                 return self._const(_fold(op, None, a))
             return self._temp((op, a, None))
-        a = self._seen[id(e.left)]
-        if op == "pow":
-            q = e.right.value
-            if a.__class__ is float:
-                return self._const(_fold(op, q, a))
-            if q.denominator == 1:
-                return self._temp(("pow", a, int(q)))
-            return self._temp(("float_power", a, float(q)))
-        b = self._seen[id(e.right)]
         if a.__class__ is float and b.__class__ is float:
             return self._const(_fold(op, None, a, b))
         # a constant operand is keyed by its text: 0.0 and -0.0 differ

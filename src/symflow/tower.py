@@ -112,9 +112,6 @@ class SignMatrix:
         if any(d not in (-1, 1) for d in self.diagonal):
             raise ValueError("sign matrix entries must be +-1")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.diagonal, dtype=float)
-
 
 def sign_matrix(selection: Selection) -> SignMatrix:
     return SignMatrix(tuple((-1) ** (k + 1) for k in selection.entries))

@@ -408,6 +408,15 @@ class TestCleanExit:
         assert captured.out == ""
         assert captured.err == f"symflow: {message}\n"
 
+    @pytest.mark.parametrize("command", [CHECK_FLOW, CANDIDATES], ids=["check-flow", "candidates"])
+    def test_box_whose_squares_overflow_ends_cleanly(self, tmp_path, capsys, command):
+        # the box and its escape guard are finite, but a squared coordinate
+        # is not: the table once took its distances with np.linalg.norm and
+        # warned of an overflow (an error under pytest's warning filter)
+        spec = write(tmp_path, "wide.spec", "dim=2\nF1=y\nF2=-x\nS1=-x\nS2=y\nbox=-1e200,1e200,-2,2\n")
+        assert main([command[0], spec, *command[1:]]) in (2, 3)
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+
     @pytest.mark.parametrize("text, code", [
         (LV_GOOD.replace("a=1", "a=1/0"), 2),
         (GENERIC.replace("box=-2,2,-2,2", "box=-2,1e999,-2,2"), 2),
