@@ -9,6 +9,11 @@ Certainty policy: a verdict is certain only when both the field and the map
 are polynomial, in which case identities are decided through canonical
 forms.  Any transcendental ingredient downgrades the whole check to
 sampling, even when local rewrites happen to cancel everything.
+
+On the sampled branch nothing is composed: a law such as D_j(sigma(z)) =
+s_j D_j(z) is tested by evaluating sigma at the sample points and each side
+at its own points, sigma(z) or z (`expr.sampled_law_verdict`), with sigma
+compiled once per check and each side once.
 """
 
 from __future__ import annotations
@@ -19,14 +24,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .expr import (
-    Expression,
-    identically_zero,
-    sampled_zero_verdict,
-)
+from .expr import Expression, identically_zero, sampled_law_verdict
 from .fields import JacobianMatrix, SmoothMap, VectorField, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, newton_batch
+from .numeric import compile_components, compile_scaled, newton_batch
 from .tower import DivergenceTower, Selection, build_tower, delta_map
 from .verdict import Certainty, CheckKind, Status, Verdict, combine, threshold_verdict
 
@@ -35,12 +36,6 @@ FIXED_VALUE_TOL = 1e-10
 LEVEL_EPS_ON = 1e-8
 LEVEL_TOL = 1e-6
 SINGULAR_TOL = 1e-8
-
-
-def _zero_check(residual, certain_capable, box, trials, rng, tol=None) -> Verdict:
-    if certain_capable:
-        return identically_zero(residual, box, trials, tol=tol, rng=rng)
-    return sampled_zero_verdict(residual, box, trials, tol, rng)
 
 
 def _require_same_dimension(F: VectorField, sigma: SmoothMap):
@@ -63,15 +58,17 @@ def check_structural(
     _require_same_dimension(F, sigma)
     box = box or F.domain
     rng = rng if rng is not None else np.random.default_rng(0)
-    J = jacobian(sigma)
-    Jv = J.times_vector(F.components)
-    certain_capable = F.is_polynomial() and sigma.is_polynomial()
+    Jv = jacobian(sigma).times_vector(F.components)
+    sign = 1 if kind is CheckKind.SYMMETRY else -1
     parts = []
-    for i, comp in enumerate(F.components):
-        lhs = ex.compose(comp, sigma.components)
-        rhs = Jv[i] if kind is CheckKind.SYMMETRY else ex.neg(Jv[i])
-        residual = ex.sub(lhs, rhs)
-        parts.append(_zero_check(residual, certain_capable, box, trials, rng))
+    if F.is_polynomial() and sigma.is_polynomial():
+        for comp, rhs in zip(F.components, Jv):
+            residual = ex.sub(ex.compose(comp, sigma.components), rhs if sign == 1 else ex.neg(rhs))
+            parts.append(identically_zero(residual, box, trials, rng=rng))
+    else:
+        image = compile_scaled(sigma.components)
+        for comp, rhs in zip(F.components, Jv):
+            parts.append(sampled_law_verdict(image, compile_scaled(comp), compile_scaled(rhs), sign, box, trials, rng))
     return combine(parts, notes=f"structural {kind.value} residual F(sigma) -/+ J_sigma F")
 
 
@@ -88,20 +85,27 @@ def tower_order_verdicts(
     """Per-order tests of the tower transformation law.
 
     Order j must satisfy D_j(sigma(z)) = s_j D_j(z) with s_j = +1 for a
-    symmetry and s_j = (-1)^(j+1) for a reversibility.
+    symmetry and s_j = (-1)^(j+1) for a reversibility.  A given tower must
+    hold orders 0..max_order.
     """
     _require_same_dimension(F, sigma)
     box = box or F.domain
     rng = rng if rng is not None else np.random.default_rng(0)
     tower = tower or build_tower(F, max_order)
-    certain_capable = F.is_polynomial() and sigma.is_polynomial()
+    if tower.max_order < max_order:
+        raise ValueError(f"tower holds orders 0..{tower.max_order}, but max_order is {max_order}")
+    exact = F.is_polynomial() and sigma.is_polynomial()
+    image = None if exact else compile_scaled(sigma.components)
     out = []
     for j in range(max_order + 1):
         dj = tower.orders[j]
-        lhs = ex.compose(dj, sigma.components)
         s = kind.tower_sign(j)
-        residual = ex.sub(lhs, dj) if s == 1 else ex.add(lhs, dj)
-        v = _zero_check(residual, certain_capable, box, trials, rng)
+        if exact:
+            lhs = ex.compose(dj, sigma.components)
+            v = identically_zero(ex.sub(lhs, dj) if s == 1 else ex.add(lhs, dj), box, trials, rng=rng)
+        else:
+            kernel = compile_scaled(dj)
+            v = sampled_law_verdict(image, kernel, kernel, s, box, trials, rng)
         out.append(v.with_notes(f"order {j} (sign {s:+d}): {v.notes}"))
     return out
 

@@ -1163,6 +1163,18 @@ def _sample(e: Expression, box: DomainBox, trials: int, rng) -> tuple:
     return pts, np.abs(value), scale, ok
 
 
+def _relative_verdict(pts, residuals, scale, ok, tol=None) -> Verdict:
+    """The verdict on sampled |residuals|: rows that are not ok are
+    evaluation errors, even where the residual is finite, and the default
+    tolerance is ZERO_TOL_REL times 1 + the largest scale of an ok row."""
+    good = int(ok.sum())
+    if not good:
+        return Verdict.inconclusive(f"all {len(pts)} sample evaluations failed")
+    tol_eff = tol if tol is not None else ZERO_TOL_REL * (1.0 + float(scale[ok].max()))
+    return threshold_verdict(np.where(ok, residuals, np.nan), pts, tol_eff,
+                             f"sampled {good}/{len(pts)} points, tol {tol_eff:.3g}")
+
+
 def sampled_zero_verdict(
     e: Expression,
     box: DomainBox,
@@ -1190,14 +1202,46 @@ def sampled_zero_verdict(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    pts, residuals, scale, ok = _sample(e, box, trials, rng)
-    good = int(ok.sum())
-    if not good:
-        return Verdict.inconclusive(f"all {trials} sample evaluations failed")
-    tol_eff = tol if tol is not None else ZERO_TOL_REL * (1.0 + float(scale[ok].max()))
-    # rows that are not ok are evaluation errors, even where |value| is finite
-    return threshold_verdict(np.where(ok, residuals, np.nan), pts, tol_eff,
-                             f"sampled {good}/{trials} points, tol {tol_eff:.3g}")
+    return _relative_verdict(*_sample(e, box, trials, rng), tol)
+
+
+def _sample_law(sigma, lhs, rhs, sign: int, box: DomainBox, trials: int, rng) -> tuple:
+    """Draw `trials` points z of the box once and evaluate
+    lhs(sigma(z)) - sign * rhs(z) at all of them: (points, |residual|,
+    scale, ok) per row.  When lhs is rhs, one run of its kernel covers the
+    columns [sigma(Z) | Z]."""
+    pts = box.sample(rng, trials)
+    image, scale, ok = sigma(pts.T)
+    if lhs is rhs:
+        (left, ls, lk), (right, rs, rk) = zip(*(np.split(x, [trials]) for x in lhs(np.hstack((image, pts.T)))))
+    else:
+        (left, ls, lk), (right, rs, rk) = lhs(image), rhs(pts.T)
+    with np.errstate(all="ignore"):
+        residual = np.abs(left - right if sign == 1 else left + right)
+    # max propagates NaN; rows that are not ok are skipped whatever their scale
+    return pts, residual, np.maximum.reduce([scale, ls, rs, residual]), ok & lk & rk & np.isfinite(residual)
+
+
+def sampled_law_verdict(sigma, lhs, rhs, sign: int, box: DomainBox,
+                        trials: int = DEFAULT_TRIALS, rng=None) -> Verdict:
+    """Probabilistic test of the law lhs(sigma(z)) = sign * rhs(z), sign
+    +1 or -1, at `trials` uniform points z of the box, drawn as
+    `sampled_zero_verdict` draws them.
+
+    sigma, lhs and rhs are kernels of `numeric.compile_scaled`: sigma of
+    all the map's components, lhs and rhs of one expression each (pass one
+    kernel twice for a law with the same expression on both sides).  So a
+    caller compiles the map once per check and each side once, and nothing
+    is composed symbolically.  The relative tolerance is set, as in
+    `sampled_zero_verdict`, by the largest |subterm| of an ok row: over
+    sigma's subterms at z, lhs's at sigma(z), rhs's at z and |residual|.
+    A row where any of these is not finite is an evaluation error, skipped
+    and counted.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    return _relative_verdict(*_sample_law(sigma, lhs, rhs, sign, box, trials, rng))
 
 
 def _certain_nonzero_witnesses(canonical: Expression, box: DomainBox, trials: int, rng) -> tuple:

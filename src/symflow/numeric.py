@@ -20,12 +20,12 @@ hosts.  `compile_components`, for the RK4 and Newton kernels that run
 thousands of times, renders the tape as straight-line source and compiles
 it once; each output goes into out, by its own ufunc where it has one,
 and each temporary is deleted after its last use.  `compile_scaled`, behind every sampled zero
-test, evaluates its expression once, so it runs the tape directly, with no
-source text and no `exec`: the same operators and functions in the same
-order, so the same bits.  It also returns per row the largest |subterm|,
-which sets the relative tolerance, and a mask of the rows where every
-subterm is finite, which are the rows the tree walk `expr.evaluate` can
-evaluate.
+test and sampled law, runs a few times per kernel, so it runs the tape
+directly, with no source text and no `exec`: the same operators and
+functions in the same order, so the same bits.  It also returns per row the
+largest |subterm|, which sets the relative tolerance, and a mask of the rows
+where every subterm is finite, which are the rows the tree walk
+`expr.evaluate` can evaluate.
 
 Every RK4 integration goes through `rk4_march`, which marches one stacked
 state: a C-contiguous array with one row per component and one column per
@@ -56,7 +56,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expression, Unary, Var, _nf_postorder, add, const_float, int_power, mul
+from .expr import Binary, Const, Expression, Unary, Var, _nf_postorder, add, const_float, int_power, mul
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # the Python operators behind _SYMBOLS, as the rendered source applies them
@@ -337,21 +337,24 @@ def compile_components(exprs: Sequence[Expression]) -> Callable:
 
 
 # rows per block of a scaled evaluation: a block holds every temporary of the
-# expression twice (the arrays and their stack), 4 KiB per temporary at 256
-# rows, so 8 MiB for a tree of 2000 distinct subterms
-SCALED_BLOCK_ROWS = 256
+# expressions twice (the arrays and their stack), 8 KiB per temporary at 512
+# rows, so 16 MiB for 2000 distinct subterms; a sampled law evaluates 2 x 200
+# rows in one block
+SCALED_BLOCK_ROWS = 512
 
 
-def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
-    """Compile e into f(Z) -> (value, scale, ok) over columns Z of shape
-    (n, N): per row, the value of e, the largest |subterm| (variables and
-    constants included, a pow exponent not) and whether every subterm is
-    finite.  A row is ok exactly when the tree walk `expr.evaluate` raises
-    no EvaluationError there; a variable beyond the n columns fails every
-    row.  Runs the emitter's tape, with no generated code, under its own
-    np.errstate."""
+def compile_scaled(e) -> Callable[[np.ndarray], tuple]:
+    """Compile e, an expression or a sequence of them, into
+    f(Z) -> (value, scale, ok) over columns Z of shape (n, N): per row, the
+    value of e (of shape (N,), or (k, N) for k expressions), the largest
+    |subterm| of all of them (variables and constants included, a pow
+    exponent not) and whether every subterm is finite.  A row is ok exactly
+    when the tree walk `expr.evaluate` raises no EvaluationError there; a
+    variable beyond the n columns fails every row.  Runs the emitter's tape,
+    with no generated code, under its own np.errstate."""
     em = _Emitter()
-    value = em.emit(e)
+    single = isinstance(e, (Const, Var, Unary, Binary))
+    outs = [em.emit(x) for x in ((e,) if single else e)]
     consts = np.abs(np.array(em.consts, dtype=float))
     const_ok = bool(np.isfinite(consts).all())
     const_scale = float(consts.max(initial=0.0)) if const_ok else 0.0
@@ -359,19 +362,21 @@ def compile_scaled(e: Expression) -> Callable[[np.ndarray], tuple]:
     def run(Z):
         Z = np.asarray(Z, dtype=float)
         rows = Z.shape[1]
+        values = np.empty((len(outs), rows))
         if em.nvars > Z.shape[0] or not const_ok:
-            return np.full(rows, np.nan), np.zeros(rows), np.zeros(rows, dtype=bool)
-        if not em.tape:
-            return np.full(rows, value), np.full(rows, const_scale), np.ones(rows, dtype=bool)
-        values, scales = [], []
+            values.fill(np.nan)
+            return values[0] if single else values, np.zeros(rows), np.zeros(rows, dtype=bool)
+        scale = np.full(rows, const_scale)
         with np.errstate(all="ignore"):
             for i in range(0, rows, SCALED_BLOCK_ROWS):
-                temps = em.run(Z[:, i : i + SCALED_BLOCK_ROWS])
-                values.append(temps[value])
-                scales.append(np.abs(np.array(temps)).max(axis=0))
-        scale = np.maximum(np.concatenate(scales), const_scale)
+                block = slice(i, i + SCALED_BLOCK_ROWS)
+                temps = em.run(Z[:, block])
+                for k, o in enumerate(outs):
+                    values[k, block] = temps[o] if o.__class__ is int else o
+                if temps:
+                    np.maximum(scale[block], np.abs(np.array(temps)).max(axis=0), out=scale[block])
         # max propagates NaN, so one non-finite subterm makes the scale so
-        return np.concatenate(values), scale, np.isfinite(scale)
+        return values[0] if single else values, scale, np.isfinite(scale)
 
     return run
 

@@ -17,7 +17,7 @@ from symflow.checks import (
 from symflow.fields import JacobianMatrix, SmoothMap, VectorField, identity_map
 from symflow.geometry import DomainBox
 from symflow.parser import parse
-from symflow.tower import default_selection
+from symflow.tower import build_tower, default_selection
 from symflow.verdict import Certainty, CheckKind, Status
 
 
@@ -111,6 +111,14 @@ class TestTowerTransform:
         v = check_tower_transform(F, map2("2*y/3", "3*x/2"), CheckKind.REVERSIBILITY, 3)
         assert v.status is Status.HOLDS and v.certainty is Certainty.CERTAIN
         assert all(n <= 1 for n in sizes)
+
+    def test_short_tower_is_refused_by_its_orders(self):
+        F = field2("y + sin(x)", "-x")
+        short = build_tower(F, 1)
+        with pytest.raises(ValueError, match=r"tower holds orders 0\.\.1, but max_order is 3"):
+            tower_order_verdicts(F, map2(*MIRROR), CheckKind.REVERSIBILITY, 3, tower=short)
+        parts = tower_order_verdicts(F, map2(*MIRROR), CheckKind.REVERSIBILITY, 1, tower=short)
+        assert len(parts) == 2
 
     def test_identity_symmetry_all_orders(self):
         F = field2("y + x^2", "-(x + x^3)")

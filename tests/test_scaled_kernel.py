@@ -190,6 +190,18 @@ def test_constant_scale_and_value():
     assert ok.all() and (value == 1.75).all() and (scale == 4.0).all()
 
 
+def test_a_sequence_compiles_to_one_kernel_with_one_scale():
+    # a map's components: one value row each, one scale over all subterms
+    exprs = [add(Unary("sin", X), Y), mul(X, Const(3)), Const(2), Unary("log", Y)]
+    value, scale, ok = compile_scaled(exprs)(POINTS.T)
+    singles = [compile_scaled(e)(POINTS.T) for e in exprs]
+    assert value.shape == (len(exprs), len(POINTS))
+    for row, (v, _, _) in zip(value, singles):
+        np.testing.assert_array_equal(row, v)
+    np.testing.assert_array_equal(scale, np.max([s for _, s, _ in singles], axis=0))
+    np.testing.assert_array_equal(ok, np.all([k for _, _, k in singles], axis=0))
+
+
 def test_constant_zero_divisor_raises_nothing():
     e = div(Const(1), sub(Const(2), Const(2)))
     value, scale, ok = compile_scaled(e)(POINTS.T)

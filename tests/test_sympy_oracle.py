@@ -5,6 +5,8 @@ test compares an expanded difference with 0, so it holds whatever canonical
 form either side prints.  Polynomial data and sums of polynomial times
 sin/cos/exp/log of a polynomial are checked; SymPy orients sin(-u) and
 cos(-u) itself, and expands function arguments, so the two sides meet.
+The last test is numeric: SymPy evaluates the tower law at the witnesses of
+a sampled check and must give the residuals the check reports.
 """
 
 import pytest
@@ -13,10 +15,13 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from symflow.checks import tower_order_verdicts  # noqa: E402
 from symflow.expr import Binary, Const, ExprError, Unary, Var, compose, differentiate, simplify  # noqa: E402
-from symflow.fields import VectorField  # noqa: E402
+from symflow.fields import SmoothMap, VectorField  # noqa: E402
 from symflow.geometry import DomainBox  # noqa: E402
+from symflow.parser import parse  # noqa: E402
 from symflow.tower import build_tower  # noqa: E402
+from symflow.verdict import CheckKind, Status  # noqa: E402
 
 SYMBOLS = sympy.symbols("z1:5")
 
@@ -216,3 +221,35 @@ def test_build_tower_transcendental(data):
     for j in range(order + 1):
         assert same(to_sympy(tower.orders[j]), want), f"order {j}"
         want = sympy.expand(sum(sympy.diff(want, z[i]) * F[i] for i in range(n)))
+
+
+# --- sampled tower law: witnesses against SymPy -------------------------------
+
+
+@pytest.mark.parametrize("texts, sigma, kind", [
+    (("y + x*sin(x)", "-x"), ("-x", "y"), "symmetry"),
+    (("x*exp(y)", "cos(x) - y^2"), ("y", "x"), "reversibility"),
+    (("y*cos(x) + x^2", "sin(y) - x*y"), ("-x", "-y"), "reversibility"),
+])
+def test_sampled_tower_witnesses_match_sympy(texts, sigma, kind):
+    # each witness w of a failing sampled order reports |D_j(sigma(w)) -
+    # s_j D_j(w)|; SymPy builds D_j from F on its own and evaluates that
+    # residual at w to 30 digits
+    box = DomainBox.cube(-1.5, 1.5, 2)
+    F = VectorField([parse(t, 2) for t in texts], box)
+    kind = CheckKind(kind)
+    parts = tower_order_verdicts(F, SmoothMap([parse(t, 2) for t in sigma], box), kind, 2)
+    z = SYMBOLS[:2]
+    comps = [to_sympy(c) for c in F.components]
+    image = {z[i]: to_sympy(parse(t, 2)) for i, t in enumerate(sigma)}
+    dj = sum(sympy.diff(comps[i], z[i]) for i in range(2))
+    failed = 0
+    for j, part in enumerate(parts):
+        if part.status is Status.FAILS:
+            failed += 1
+            residual = dj.xreplace(image) - kind.tower_sign(j) * dj
+            for w, reported in part.witnesses:
+                want = abs(residual.subs(dict(zip(z, w))).evalf(30))
+                assert abs(reported - float(want)) <= 1e-9 * float(want)
+        dj = sum(sympy.diff(dj, z[i]) * comps[i] for i in range(2))
+    assert failed
