@@ -68,7 +68,7 @@ def check_structural(
     else:
         image = compile_scaled(sigma.components)
         for comp, rhs in zip(F.components, Jv):
-            parts.append(sampled_law_verdict(image, compile_scaled(comp), compile_scaled(rhs), sign, box, trials, rng))
+            parts.append(sampled_law_verdict(image, comp, rhs, sign, box, trials, rng))
     return combine(parts, notes=f"structural {kind.value} residual F(sigma) -/+ J_sigma F")
 
 
@@ -104,8 +104,7 @@ def tower_order_verdicts(
             lhs = ex.compose(dj, sigma.components)
             v = identically_zero(ex.sub(lhs, dj) if s == 1 else ex.add(lhs, dj), box, trials, rng=rng)
         else:
-            kernel = compile_scaled(dj)
-            v = sampled_law_verdict(image, kernel, kernel, s, box, trials, rng)
+            v = sampled_law_verdict(image, dj, dj, s, box, trials, rng)
         out.append(v.with_notes(f"order {j} (sign {s:+d}): {v.notes}"))
     return out
 

@@ -1159,7 +1159,7 @@ def _sample(e: Expression, box: DomainBox, trials: int, rng) -> tuple:
     from .numeric import compile_scaled  # numeric imports this module
 
     pts = box.sample(rng, trials)
-    value, scale, ok = compile_scaled(e)(pts.T)
+    (value,), scale, ok = compile_scaled([e])(pts.T)
     return pts, np.abs(value), scale, ok
 
 
@@ -1205,34 +1205,34 @@ def sampled_zero_verdict(
     return _relative_verdict(*_sample(e, box, trials, rng), tol)
 
 
-def _sample_law(sigma, lhs, rhs, sign: int, box: DomainBox, trials: int, rng) -> tuple:
+def _sample_law(sigma, lhs: Expression, rhs: Expression, sign: int, box: DomainBox, trials: int, rng) -> tuple:
     """Draw `trials` points z of the box once and evaluate
     lhs(sigma(z)) - sign * rhs(z) at all of them: (points, |residual|,
-    scale, ok) per row.  When lhs is rhs, one run of its kernel covers the
-    columns [sigma(Z) | Z]."""
+    scale, ok) per row.  When lhs is rhs, one kernel serves both sides."""
+    from .numeric import compile_scaled  # numeric imports this module
+
     pts = box.sample(rng, trials)
     image, scale, ok = sigma(pts.T)
-    if lhs is rhs:
-        (left, ls, lk), (right, rs, rk) = zip(*(np.split(x, [trials]) for x in lhs(np.hstack((image, pts.T)))))
-    else:
-        (left, ls, lk), (right, rs, rk) = lhs(image), rhs(pts.T)
+    lhs_kernel = compile_scaled([lhs])
+    rhs_kernel = lhs_kernel if rhs is lhs else compile_scaled([rhs])
+    (left,), ls, lk = lhs_kernel(image)
+    (right,), rs, rk = rhs_kernel(pts.T)
     with np.errstate(all="ignore"):
         residual = np.abs(left - right if sign == 1 else left + right)
     # max propagates NaN; rows that are not ok are skipped whatever their scale
     return pts, residual, np.maximum.reduce([scale, ls, rs, residual]), ok & lk & rk & np.isfinite(residual)
 
 
-def sampled_law_verdict(sigma, lhs, rhs, sign: int, box: DomainBox,
+def sampled_law_verdict(sigma, lhs: Expression, rhs: Expression, sign: int, box: DomainBox,
                         trials: int = DEFAULT_TRIALS, rng=None) -> Verdict:
     """Probabilistic test of the law lhs(sigma(z)) = sign * rhs(z), sign
     +1 or -1, at `trials` uniform points z of the box, drawn as
     `sampled_zero_verdict` draws them.
 
-    sigma, lhs and rhs are kernels of `numeric.compile_scaled`: sigma of
-    all the map's components, lhs and rhs of one expression each (pass one
-    kernel twice for a law with the same expression on both sides).  So a
-    caller compiles the map once per check and each side once, and nothing
-    is composed symbolically.  The relative tolerance is set, as in
+    sigma is the map's kernel, `numeric.compile_scaled(sigma.components)`,
+    so a caller compiles the map once per check; lhs and rhs are compiled
+    here, once each, or once in all when lhs is rhs (a tower order).
+    Nothing is composed symbolically.  The relative tolerance is set, as in
     `sampled_zero_verdict`, by the largest |subterm| of an ok row: over
     sigma's subterms at z, lhs's at sigma(z), rhs's at z and |residual|.
     A row where any of these is not finite is an evaluation error, skipped

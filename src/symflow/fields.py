@@ -10,9 +10,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .expr import Expression, identically_zero, sampled_law_verdict, to_string
+from .expr import Expression, identically_zero, to_string
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_scaled, newton_batch, row_norms, solve_rows
+from .numeric import compile_components, newton_batch, row_norms, solve_rows
 from .verdict import Verdict, combine, threshold_verdict
 
 logger = logging.getLogger(__name__)
@@ -161,18 +161,13 @@ def lie_derivative(e: Expression, F: VectorField) -> Expression:
 
 def is_involution(m: SmoothMap, box: Optional[DomainBox] = None, trials: int = 200, rng=None) -> Verdict:
     """Does applying the map twice return every point?  Componentwise zero
-    test of m(m(z)) - z: certain for polynomial maps, otherwise sampled
-    without composing m with itself."""
+    test of m(m(z)) - z; certain for polynomial maps."""
     box = box or m.domain
     parts = []
-    if m.is_polynomial():
-        for i, c in enumerate(m.components, start=1):
-            residual = ex.sub(ex.compose(c, m.components), ex.Var(i))
-            parts.append(identically_zero(residual, box, trials, rng=rng))
-    else:
-        image = compile_scaled(m.components)
-        for i, c in enumerate(m.components, start=1):
-            parts.append(sampled_law_verdict(image, compile_scaled(c), compile_scaled(ex.Var(i)), 1, box, trials, rng))
+    for i, c in enumerate(m.components, start=1):
+        twice = ex.compose(c, m.components)
+        residual = ex.sub(twice, ex.Var(i))
+        parts.append(identically_zero(residual, box, trials, rng=rng))
     return combine(parts, notes="involution residual m(m(z)) - z")
 
 

@@ -56,7 +56,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Binary, Const, Expression, Unary, Var, _nf_postorder, add, const_float, int_power, mul
+from .expr import Const, Expression, Unary, Var, _nf_postorder, add, const_float, int_power, mul
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # the Python operators behind _SYMBOLS, as the rendered source applies them
@@ -337,24 +337,21 @@ def compile_components(exprs: Sequence[Expression]) -> Callable:
 
 
 # rows per block of a scaled evaluation: a block holds every temporary of the
-# expressions twice (the arrays and their stack), 8 KiB per temporary at 512
-# rows, so 16 MiB for 2000 distinct subterms; a sampled law evaluates 2 x 200
-# rows in one block
-SCALED_BLOCK_ROWS = 512
+# expressions twice (the arrays and their stack), 4 KiB per temporary at 256
+# rows, so 8 MiB for 2000 distinct subterms
+SCALED_BLOCK_ROWS = 256
 
 
-def compile_scaled(e) -> Callable[[np.ndarray], tuple]:
-    """Compile e, an expression or a sequence of them, into
-    f(Z) -> (value, scale, ok) over columns Z of shape (n, N): per row, the
-    value of e (of shape (N,), or (k, N) for k expressions), the largest
+def compile_scaled(exprs: Sequence[Expression]) -> Callable[[np.ndarray], tuple]:
+    """Compile k expressions into f(Z) -> (values, scale, ok) over columns
+    Z of shape (n, N): the values, of shape (k, N), and per row the largest
     |subterm| of all of them (variables and constants included, a pow
     exponent not) and whether every subterm is finite.  A row is ok exactly
     when the tree walk `expr.evaluate` raises no EvaluationError there; a
     variable beyond the n columns fails every row.  Runs the emitter's tape,
     with no generated code, under its own np.errstate."""
     em = _Emitter()
-    single = isinstance(e, (Const, Var, Unary, Binary))
-    outs = [em.emit(x) for x in ((e,) if single else e)]
+    outs = [em.emit(e) for e in exprs]
     consts = np.abs(np.array(em.consts, dtype=float))
     const_ok = bool(np.isfinite(consts).all())
     const_scale = float(consts.max(initial=0.0)) if const_ok else 0.0
@@ -365,7 +362,7 @@ def compile_scaled(e) -> Callable[[np.ndarray], tuple]:
         values = np.empty((len(outs), rows))
         if em.nvars > Z.shape[0] or not const_ok:
             values.fill(np.nan)
-            return values[0] if single else values, np.zeros(rows), np.zeros(rows, dtype=bool)
+            return values, np.zeros(rows), np.zeros(rows, dtype=bool)
         scale = np.full(rows, const_scale)
         with np.errstate(all="ignore"):
             for i in range(0, rows, SCALED_BLOCK_ROWS):
@@ -376,7 +373,7 @@ def compile_scaled(e) -> Callable[[np.ndarray], tuple]:
                 if temps:
                     np.maximum(scale[block], np.abs(np.array(temps)).max(axis=0), out=scale[block])
         # max propagates NaN, so one non-finite subterm makes the scale so
-        return values[0] if single else values, scale, np.isfinite(scale)
+        return values, scale, np.isfinite(scale)
 
     return run
 

@@ -719,7 +719,7 @@ class TestNormalFormsCompileAndPrintAsTheirTrees:
         from symflow.numeric import compile_components, compile_scaled
 
         text = "x^3 - 5/3*x*sin(x - y)^2 + exp(-y)*y - 1"
-        runs = (compile_scaled, lambda s: compile_components([s, s]), to_string)
+        runs = (lambda s: compile_scaled([s]), lambda s: compile_components([s, s]), to_string)
         sums = [simplify(p2(text)) for _ in runs]
         poly = simplify(p2("(x + y)^3 - x^3"))
         assert all(_is_lazy(s) for s in sums + [poly])

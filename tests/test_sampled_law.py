@@ -3,8 +3,8 @@
 `expr.sampled_law_verdict` tests a law lhs(sigma(z)) = sign * rhs(z) by
 evaluating sigma at the sample points, lhs at their images and rhs at the
 points, with kernels compiled once per map and per side.  The checks use it
-for the tower law, the structural identity and the involution test whenever
-the field or the map is not polynomial, and compose nothing.
+for the tower law and the structural identity whenever the field or the map
+is not polynomial, and compose nothing.
 
 The reference is the route it replaced, kept only here: compose the law
 symbolically, subtract, and sample the residual with
@@ -32,7 +32,7 @@ from symflow.geometry import DomainBox
 from symflow.numeric import compile_scaled
 from symflow.parser import parse
 from symflow.tower import build_tower
-from symflow.verdict import Certainty, CheckKind, Status
+from symflow.verdict import CheckKind, Status
 
 KINDS = (CheckKind.SYMMETRY, CheckKind.REVERSIBILITY)
 TRIALS = 120
@@ -117,17 +117,13 @@ def _laws(F, sigma, kind, max_order):
     sign = 1 if kind is CheckKind.SYMMETRY else -1
     for comp, rhs in zip(F.components, jacobian(sigma).times_vector(F.components)):
         yield ex.sub(ex.compose(comp, sigma.components), rhs if sign == 1 else ex.neg(rhs)), comp, rhs, sign
-    for i, c in enumerate(sigma.components, start=1):
-        yield ex.sub(ex.compose(c, sigma.components), Var(i)), c, Var(i), 1
 
 
 @pytest.mark.parametrize("F, sigma, kind", CASES)
 def test_rows_match_the_composed_residual(F, sigma, kind):
     image = compile_scaled(sigma.components)
     for residual, lhs, rhs, sign in _laws(F, sigma, kind, 2):
-        left = compile_scaled(lhs)
-        right = left if rhs is lhs else compile_scaled(rhs)
-        pts, got, scale, ok = _sample_law(image, left, right, sign, F.domain, TRIALS, np.random.default_rng(7))
+        pts, got, scale, ok = _sample_law(image, lhs, rhs, sign, F.domain, TRIALS, np.random.default_rng(7))
         ref_pts, want, _, ref_ok = _sample(residual, F.domain, TRIALS, np.random.default_rng(7))
         np.testing.assert_array_equal(pts, ref_pts)
         np.testing.assert_array_equal(ok, ref_ok)
@@ -136,10 +132,9 @@ def test_rows_match_the_composed_residual(F, sigma, kind):
 
 @pytest.mark.parametrize("F, sigma, kind", CASES)
 def test_verdicts_match_the_composed_route(F, sigma, kind):
+    image = compile_scaled(sigma.components)
     for residual, lhs, rhs, sign in _laws(F, sigma, kind, 2):
-        image, left = compile_scaled(sigma.components), compile_scaled(lhs)
-        right = left if rhs is lhs else compile_scaled(rhs)
-        got = ex.sampled_law_verdict(image, left, right, sign, F.domain, TRIALS, np.random.default_rng(3))
+        got = ex.sampled_law_verdict(image, lhs, rhs, sign, F.domain, TRIALS, np.random.default_rng(3))
         want = sampled_zero_verdict(residual, F.domain, TRIALS, rng=np.random.default_rng(3))
         assert (got.status, got.certainty) == (want.status, want.certainty)
         assert sorted(p for p, _ in got.witnesses) == sorted(p for p, _ in want.witnesses)
@@ -155,28 +150,32 @@ def test_sweep_covers_both_outcomes():
     assert check_structural(F, sigma, CheckKind.REVERSIBILITY).holds
     assert all(v.holds for v in tower_order_verdicts(F, sigma, CheckKind.REVERSIBILITY, 3))
     assert not check_structural(F, sigma, CheckKind.SYMMETRY).holds
-    v = is_involution(sigma)
-    assert v.holds and v.certainty is Certainty.PROBABILISTIC
+    assert is_involution(sigma).holds
 
 
 # --- nothing is composed on the sampled branch -------------------------------
 
 
 def test_sampled_checks_compose_nothing(monkeypatch, tmp_path):
+    # polynomial data may still be composed: the exact branches and
+    # fields.is_involution of a linear map decide through canonical forms
+    compose = ex.compose
+
     def refuse(e, maps):
-        raise AssertionError("compose called on the sampled branch")
+        if not (ex.is_polynomial(e) and all(map(ex.is_polynomial, maps))):
+            raise AssertionError("compose called on the sampled branch")
+        return compose(e, maps)
 
     monkeypatch.setattr(ex, "compose", refuse)
     F, sigma = _conjugated_case()
     assert check_structural(F, sigma, CheckKind.REVERSIBILITY).holds
     assert all(v.holds for v in tower_order_verdicts(F, sigma, CheckKind.REVERSIBILITY, 3))
-    assert is_involution(sigma).holds
-    spec = tmp_path / "conjugated.spec"
-    spec.write_text("dim=2\nF1=y - sin(x)/2\nF2=-x + cos(x)/2*(y - sin(x)/2) + (y - sin(x)/2)^2\n"
-                    "S1=x\nS2=sin(x) - y\nbox=-1.5,1.5,-1.5,1.5\n")
+    spec = tmp_path / "pendulum.spec"
+    spec.write_text("dim=2\nF1=y\nF2=-sin(x)\nS1=x\nS2=-y\nbox=-1.5,1.5,-1.5,1.5\n")
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["check", str(spec), "--kind", "reversibility", "--orders", "3"])
     assert code == 0, out.getvalue()
+    assert "probabilistic" in out.getvalue()
 
 
 # --- rows where sigma(z) leaves the domain of a log --------------------------
@@ -219,9 +218,7 @@ LINE = DomainBox([(0.0, 20.0)])
 
 
 def _law(sigma, lhs, rhs, sign, box=LINE, trials=50):
-    left = compile_scaled(lhs)
-    right = left if rhs is lhs else compile_scaled(rhs)
-    return ex.sampled_law_verdict(compile_scaled(sigma), left, right, sign, box, trials, np.random.default_rng(2))
+    return ex.sampled_law_verdict(compile_scaled(sigma), lhs, rhs, sign, box, trials, np.random.default_rng(2))
 
 
 def test_a_side_with_an_overflowing_subterm_is_an_error_row():

@@ -69,6 +69,17 @@ POINTS = np.vstack([
 ])
 
 
+def scaled(e):
+    """The kernel of e alone: (value, scale, ok) with value of shape (N,)."""
+    kernel = compile_scaled([e])
+
+    def run(Z):
+        (value,), scale, ok = kernel(Z)
+        return value, scale, ok
+
+    return run
+
+
 def subterms(e):
     """Every node the tree walk visits: not the exponent of a pow."""
     yield e
@@ -89,7 +100,7 @@ def walk(e, p):
 
 
 def assert_matches_walk(e, points):
-    value, scale, ok = compile_scaled(e)(points.T)
+    value, scale, ok = scaled(e)(points.T)
     for i, p in enumerate(points):
         ref = walk(e, tuple(p))
         assert ok[i] == (ref is not None), (str(e), p)
@@ -144,7 +155,7 @@ def rational_trees(max_leaves=12):
 def assert_walks_bits(e, points):
     """The kernel's value is the tree walk's, bit for bit, on every row
     the walk can evaluate."""
-    value, _, ok = compile_scaled(e)(points.T)
+    value, _, ok = scaled(e)(points.T)
     for i, p in enumerate(points):
         ref = walk(e, tuple(p))
         assert ok[i] == (ref is not None), (str(e), p)
@@ -181,12 +192,12 @@ def test_power_overflow_fails_the_row(e, x):
     # underflows to 0 divides by zero: the walk raises, the kernel masks
     with pytest.raises(EvaluationError, match="pow overflow"):
         evaluate(e, (x, 1.0))
-    _, _, ok = compile_scaled(e)(np.array([[x, 2.0], [1.0, 1.0]]))
+    _, _, ok = scaled(e)(np.array([[x, 2.0], [1.0, 1.0]]))
     assert ok.tolist() == [False, True]
 
 
 def test_constant_scale_and_value():
-    value, scale, ok = compile_scaled(add(div(Const(3), Const(4)), Const(1)))(POINTS.T)
+    value, scale, ok = scaled(add(div(Const(3), Const(4)), Const(1)))(POINTS.T)
     assert ok.all() and (value == 1.75).all() and (scale == 4.0).all()
 
 
@@ -194,7 +205,7 @@ def test_a_sequence_compiles_to_one_kernel_with_one_scale():
     # a map's components: one value row each, one scale over all subterms
     exprs = [add(Unary("sin", X), Y), mul(X, Const(3)), Const(2), Unary("log", Y)]
     value, scale, ok = compile_scaled(exprs)(POINTS.T)
-    singles = [compile_scaled(e)(POINTS.T) for e in exprs]
+    singles = [scaled(e)(POINTS.T) for e in exprs]
     assert value.shape == (len(exprs), len(POINTS))
     for row, (v, _, _) in zip(value, singles):
         np.testing.assert_array_equal(row, v)
@@ -204,7 +215,7 @@ def test_a_sequence_compiles_to_one_kernel_with_one_scale():
 
 def test_constant_zero_divisor_raises_nothing():
     e = div(Const(1), sub(Const(2), Const(2)))
-    value, scale, ok = compile_scaled(e)(POINTS.T)
+    value, scale, ok = scaled(e)(POINTS.T)
     assert not ok.any()
     (col,) = compile_components([add(X, e)])(POINTS.T)
     assert np.isinf(col).all()
@@ -216,7 +227,7 @@ def test_variable_beyond_the_box_fails_every_row():
     e = add(X, Var(3))
     with pytest.raises(EvaluationError):
         evaluate(e, (0.5, 0.5))
-    _, _, ok = compile_scaled(e)(POINTS.T)
+    _, _, ok = scaled(e)(POINTS.T)
     assert not ok.any()
     box = DomainBox.cube(-1, 1, 2)
     assert sampled_zero_verdict(Unary("sin", e), box, trials=30).status is Status.INCONCLUSIVE
@@ -227,7 +238,7 @@ def test_variable_beyond_the_box_fails_every_row():
 def test_errors_are_counted_per_row():
     # 1/x fails on exactly the rows with x = 0
     pts = np.array([[0.0, 1.0], [1.0, 1.0], [-0.0, 2.0], [2.0, 0.0]])
-    value, _, ok = compile_scaled(div(Const(1), X))(pts.T)
+    value, _, ok = scaled(div(Const(1), X))(pts.T)
     assert ok.tolist() == [False, True, False, True]
     assert value[1] == 1.0 and value[3] == 0.5
 
@@ -250,8 +261,8 @@ def test_long_batches_run_in_blocks_with_the_same_rows():
     e = add(Unary("log", X), div(Unary("exp", Y), X))
     pts = np.random.default_rng(1).uniform(-3, 3, (2500, 2))
     pts[::97, 0] = 0.0
-    whole = compile_scaled(e)(pts.T)
-    parts = [compile_scaled(e)(pts[i : i + 100].T) for i in range(0, 2500, 100)]
+    whole = scaled(e)(pts.T)
+    parts = [scaled(e)(pts[i : i + 100].T) for i in range(0, 2500, 100)]
     for got, want in zip(whole, (np.concatenate(p) for p in zip(*parts))):
         np.testing.assert_array_equal(got, want)
 
@@ -281,7 +292,7 @@ def test_deep_trees_compile_flat():
     want = pts[:, 0] + sum(k % 7 for k in range(3000)) * pts[:, 1]
     (col,) = compile_components([e])(pts.T)
     np.testing.assert_allclose(col, want, rtol=1e-12)
-    value, _, ok = compile_scaled(e)(pts.T)
+    value, _, ok = scaled(e)(pts.T)
     assert ok.all()
     np.testing.assert_array_equal(value, col)
 
@@ -308,7 +319,7 @@ def test_column_kernels_free_dead_temporaries():
 def test_tape_matches_the_rendered_kernel_bit_for_bit(e):
     # compile_scaled runs the emitter's tape; compile_components renders the
     # same tape as source: the same operations in the same order
-    value, _, ok = compile_scaled(e)(POINTS.T)
+    value, _, ok = scaled(e)(POINTS.T)
     if not ok.any() and np.isnan(value).all():
         return  # a non-finite constant: every row fails unevaluated
     with np.errstate(all="ignore"):
