@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import SmoothMap, VectorField, divergence, jacobian
+from .expr import Var
+from .fields import SmoothMap, VectorField, _cofactor_det, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, rk4_march, rk4_path, rk4_variational
 from .verdict import CheckKind, Verdict, threshold_verdict
@@ -168,6 +170,13 @@ def check_flow_relation(
     return threshold_verdict(diffs, Z[good], tol, notes)
 
 
+@lru_cache(maxsize=8)
+def _det_kernel(n: int):
+    """The kernel of the n x n determinant over columns Z[i n + j] = J_ij
+    (row-major), by the cofactor expansion `fields._cofactor_det`."""
+    return compile_components([_cofactor_det([[Var(i * n + j + 1) for j in range(n)] for i in range(n)])])
+
+
 def check_liouville(
     F: VectorField,
     region: DomainBox,
@@ -182,16 +191,26 @@ def check_liouville(
     The left side integrates the variational equation dJ/dt = J_F J along
     the flow to +-t and central-differences the Monte-Carlo volume
     sum(det J)/N * vol; the right side averages div F over the same sample.
-    Escape shrinks the region about its center once, then gives up.
+    det J is one compiled kernel of the cofactor expansion (`_det_kernel`),
+    run on the rows of J in the marched state: elementwise products and
+    sums, so the same bits on every host, where a LAPACK LU determinant
+    rounds as the BLAS build does.  A point escapes when its final state
+    leaves the inflated domain, whose bounds are finite, so a nan or
+    infinite state escapes too.  Escape shrinks the region about its
+    center once, then gives up.
     """
-    if t_max <= 0:
+    # the comparison is false for nan
+    if not t_max > 0:
         raise ValueError("t_max must be positive")
     if mc_points <= 0:
         raise ValueError("mc_points must be positive")
     rng = np.random.default_rng(seed)
+    n = F.dimension
     jac_rows = jacobian(F).entries
     div_fn = compile_components([divergence(F)])
+    det_fn = _det_kernel(n)
     guard = F.domain.inflate(ESCAPE_INFLATION)
+    lo, hi = guard.lows[:, None], guard.highs[:, None]
     dt = min(_SLOPE_DT, t_max)
     steps = max(1, round(dt / DEFAULT_STEP))
 
@@ -202,10 +221,11 @@ def check_liouville(
         with np.errstate(all="ignore"):
             for s in (+1, -1):
                 zT, JT = rk4_variational(F.components, jac_rows, pts, s * dt, steps)
-                ok = np.all(np.isfinite(zT), axis=-1) & guard.contains_rows(zT)
-                if not ok.all():
+                # the views' transposes are the march's own rows of z and of J
+                if not ((zT.T >= lo) & (zT.T <= hi)).all():
                     return None
-                sides[s] = vol * float(np.mean(np.linalg.det(JT)))
+                J_rows = JT.transpose(1, 2, 0).reshape(n * n, mc_points)
+                sides[s] = vol * float(np.mean(det_fn(J_rows)[0]))
             slope = (sides[+1] - sides[-1]) / (2.0 * dt)
             div_integral = vol * float(np.mean(div_fn(pts.T)[0]))
         return slope, div_integral

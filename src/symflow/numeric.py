@@ -36,7 +36,8 @@ that leaves the guard bounds or turns non-finite is masked at its own step;
 the arithmetic is elementwise, so a point's states are the same bits
 whether it is marched alone or in a batch.  The variational equation is
 marched as an augmented state whose derivative is one compiled kernel
-(`variational_kernel`) of F and of the entries of J_F J.
+(`variational_kernel`) of F and of the entries of J_F J; `rk4_variational`
+returns z(T) and J(T) as views of that marched state, not as copies.
 
 Every Newton solve goes through `newton_batch`, damped Newton on the rows of
 a seed array at once, whose kernels write into transposed views of the
@@ -516,7 +517,10 @@ def rk4_variational(
 
     Returns (z(T), J(T)) where J is the Jacobian of the time-T flow map with
     respect to the initial state.  Batched: z0 of shape (N, n) gives J of
-    shape (N, n, n).
+    shape (N, n, n).  Both are views of the marched state, not copies:
+    z(T)[..., i] is its row i and J(T)[..., i, j] its row n + i n + j, so
+    moving their component axes back to the front gives those rows,
+    contiguous: zT.T and JT.transpose(1, 2, 0) for a batch.
     """
     z = np.asarray(z0, dtype=float)
     n = z.shape[-1]
@@ -525,9 +529,7 @@ def rk4_variational(
     y[n:] = np.eye(n).reshape((n * n,) + (1,) * (z.ndim - 1))
     kernel = variational_kernel(tuple(components), tuple(map(tuple, jacobian_rows)))
     y, _ = rk4_march(kernel, y, t_total / steps, steps)
-    zT = np.stack(y[:n], axis=-1)
-    JT = np.stack(y[n:], axis=-1).reshape(z.shape[:-1] + (n, n))
-    return zT, JT
+    return np.moveaxis(y[:n], 0, -1), np.moveaxis(y[n:].reshape((n, n) + y.shape[1:]), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------

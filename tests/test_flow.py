@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from symflow.candidates import lotka_volterra_field
+from symflow import flow
 from symflow.fields import SmoothMap, VectorField
 from symflow.flow import (
     IntegratorConfig,
+    _det_kernel,
     check_flow_relation,
     check_liouville,
     integrate,
@@ -214,3 +216,80 @@ class TestLiouville:
         F = field2("y", "-x", box=DomainBox.cube(-5, 5, 2))
         with pytest.raises(ValueError, match="^mc_points must be positive$"):
             check_liouville(F, DomainBox([(0.2, 0.8), (0.2, 0.8)]), mc_points=mc_points)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_t_max(self, t_max):
+        F = field2("y", "-x", box=DomainBox.cube(-5, 5, 2))
+        with pytest.raises(ValueError, match="^t_max must be positive$"):
+            check_liouville(F, DomainBox([(0.2, 0.8), (0.2, 0.8)]), t_max=t_max)
+
+    @pytest.mark.parametrize("x_rate, final", [("x^3", np.isposinf), ("x^3 - x^2", np.isnan)])
+    def test_non_finite_final_state_escapes(self, monkeypatch, x_rate, final):
+        # x' = x^3 from x >= 10 blows up within the step grid: the forward
+        # march ends at x = inf, or, with x^3 - x^2, at inf - inf = nan;
+        # either fails the guard bounds, so both regions escape
+        F = field2(x_rate, "0", box=DomainBox.cube(-100, 100, 2))
+        region = DomainBox.cube(10, 20, 2)
+        ends, march = [], flow.rk4_variational
+
+        def recording(*args):
+            zT, JT = march(*args)
+            ends.append((args[2], zT.copy()))
+            return zT, JT
+
+        monkeypatch.setattr(flow, "rk4_variational", recording)
+        v = check_liouville(F, region, mc_points=500, seed=4)
+        assert v.status is Status.INCONCLUSIVE
+        assert v.notes == "flow escaped the domain even after shrinking the region"
+        # one forward march per region: the full region, then the shrunk one
+        assert len(ends) == 2
+        for (pts, zT), reg in zip(ends, (region, region.shrink(0.5))):
+            assert reg.contains_rows(pts).all()
+            assert final(zT[:, 0]).all() and np.isfinite(zT[:, 1]).all()
+
+    def test_calls_no_lapack_determinant_and_stacks_no_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        F = field2("x", "y", box=DomainBox.cube(-5, 5, 2))
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np, "stack", refuse)
+        v = check_liouville(F, DomainBox([(0.5, 1.5), (0.5, 1.5)]), t_max=0.5, mc_points=2000, seed=1)
+        assert v.status is Status.HOLDS
+
+
+def det_columns(A):
+    """Matrices A (..., n, n) as the kernel's columns Z[i n + j] = A[..., i, j]."""
+    n = A.shape[-1]
+    return np.moveaxis(A.reshape(A.shape[:-2] + (n * n,)), -1, 0)
+
+
+class TestDeterminantKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_lapack_to_a_few_ulps(self, n):
+        A = np.eye(n) + np.random.default_rng(n).uniform(-0.3, 0.3, (500, n, n))
+        d = _det_kernel(n)(det_columns(A))[0]
+        ref = np.linalg.det(A)
+        assert np.all(np.abs(d - ref) <= 8 * np.finfo(float).eps * np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+    def test_identity_is_exactly_one(self, n):
+        # shared minors keep n = 9 to about 6,500 source lines, not 9! terms
+        assert _det_kernel(n)(det_columns(np.eye(n)))[0] == 1.0
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 4], [1, 2]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[1, -2, 0, 3], [2, 1, 1, 0], [3, -1, 1, 3], [0, 5, 4, -1]],
+    ])
+    def test_integer_singular_matrix_is_exactly_zero(self, rows):
+        A = np.array(rows, dtype=float)
+        assert np.linalg.matrix_rank(A) < len(A)
+        assert _det_kernel(len(A))(det_columns(A))[0] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batch_row_has_the_bits_of_the_matrix_alone(self, n):
+        A = np.random.default_rng(10 + n).uniform(-2, 2, (40, n, n))
+        batch = _det_kernel(n)(det_columns(A))[0]
+        alone = [_det_kernel(n)(det_columns(a))[0] for a in A]
+        assert np.array_equal(batch, alone)

@@ -382,6 +382,16 @@ class TestVariational:
             _, JT = rk4_variational(*variational_system(F), Z, T, 500)
             assert np.allclose(np.linalg.det(JT), np.exp(2 * T), rtol=1e-12, atol=0)
 
+    def test_returns_views_of_the_marched_state(self):
+        # z(T) and J(T) share the one marched state, and their transposes
+        # are its contiguous rows
+        F = field2("y + x^2", "-x*y")
+        Z = np.random.default_rng(9).uniform(-1, 1, (50, 2))
+        zT, JT = rk4_variational(*variational_system(F), Z, 0.05, 5)
+        assert zT.shape == (50, 2) and JT.shape == (50, 2, 2)
+        assert zT.base is not None and zT.base is JT.base
+        assert zT.T.flags.c_contiguous and JT.transpose(1, 2, 0).flags.c_contiguous
+
     def test_close_to_matrix_product_reference(self):
         # the reference multiplies with `@`, which may fuse multiply-adds, so
         # the two agree to rounding, not bit for bit
