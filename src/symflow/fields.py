@@ -121,27 +121,15 @@ class JacobianMatrix:
 
 
 def _cofactor_det(rows) -> Expression:
-    """The raw determinant of a square matrix of expressions, expanded along
-    the first row: the alternating sum of rows[0][j] times the minor without
-    row 0 and column j, left to right, from its first term, each minor
-    expanded the same way.  A minor is the last k rows on k columns, so it
-    is built once per column set and shared: n 2**(n-1) nodes, not n!."""
     n = len(rows)
-    minors: dict = {}
-
-    def det(cols: tuple) -> Expression:
-        row = rows[n - len(cols)]
-        if len(cols) == 1:
-            return row[cols[0]]
-        acc = minors.get(cols)
-        if acc is None:
-            for j, c in enumerate(cols):
-                term = ex.mul(row[c], det(cols[:j] + cols[j + 1 :]))
-                acc = term if j == 0 else ex.add(acc, term) if j % 2 == 0 else ex.sub(acc, term)
-            minors[cols] = acc
-        return acc
-
-    return det(tuple(range(n)))
+    if n == 1:
+        return rows[0][0]
+    acc: Expression
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = ex.mul(rows[0][j], _cofactor_det(minor))
+        acc = term if j == 0 else ex.add(acc, term) if j % 2 == 0 else ex.sub(acc, term)
+    return acc
 
 
 def jacobian(m) -> JacobianMatrix:

