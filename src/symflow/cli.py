@@ -131,6 +131,12 @@ def load_system_spec(path: str) -> SystemSpec:
 
     family = kv.get("family", "generic")
     params: dict = {}
+    dim = None
+    if "dim" in kv:
+        try:
+            dim = int(kv["dim"])
+        except ValueError as exc:
+            raise SpecError(f"bad dim: {kv['dim']!r}") from exc
 
     if family == "lotka_volterra":
         dimension = 2
@@ -150,18 +156,15 @@ def load_system_spec(path: str) -> SystemSpec:
         except ParseError as exc:
             raise SpecError(f"bad lienard parameter: {exc}") from exc
     elif family == "generic":
-        if "dim" not in kv:
+        if dim is None:
             raise SpecError("generic systems need dim=<n>")
-        try:
-            dimension = int(kv["dim"])
-        except ValueError as exc:
-            raise SpecError(f"bad dim: {kv['dim']!r}") from exc
+        dimension = dim
         if dimension < 1:
             raise SpecError("dim must be >= 1")
     else:
         raise SpecError(f"unknown family {family!r}")
 
-    if "dim" in kv and int(kv["dim"]) != dimension:
+    if dim is not None and dim != dimension:
         raise SpecError(f"dim={kv['dim']} conflicts with family {family!r}")
 
     box = _parse_box(kv["box"], dimension) if "box" in kv else DomainBox.cube(-2.0, 2.0, dimension)

@@ -442,16 +442,17 @@ for _cls in (Const, Var, Unary, Binary):
 # tree-walking evaluators among them) build it and see the same tree as
 # ever.  A walk with an NF shortcut tests `_nf` before any field.
 #
-# On exact data (a remembered NF, or a syntactic polynomial) differentiate,
-# compose and derivative_along work on the dict.  A derivative takes the
+# differentiate, compose and derivative_along have one path: they work on
+# the dict `_to_nf(e)` of any input, so their result depends only on that
+# NF, never on how the input tree was written.  A derivative takes the
 # product rule over a monomial's factors: a variable lowers its exponent,
-# and an atom gives d sin u = cos u du, d cos u = -sin u du,
-# d exp u = exp u du and d log u = du u^-1, with du from the argument's NF.
-# A composition multiplies cached powers of the bases' images: a variable's
+# an atom gives d sin u = cos u du, d cos u = -sin u du, d exp u = exp u du
+# and d log u = du u^-1, and an opaque base's power p gives
+# p ("e", u)^(p-1) du, each du from the NF of the argument's tree.  A
+# composition multiplies cached powers of the bases' images: a variable's
 # image is its map component, an atom's is `_nf_func(name, image of its
-# argument)`, which orients a sin/cos argument as simplify does.  Anything
-# else takes the tree path, `_d` / `_subst` and then `simplify`.  Both give
-# the same canonical form, which is unique.
+# argument)`, which orients a sin/cos argument as simplify does, and an
+# opaque base's is the image of the NF of its tree, raised by `_nf_pow`.
 # ---------------------------------------------------------------------------
 
 _FUNC_RANK = {"sin": 0, "cos": 1, "exp": 2, "log": 3}
@@ -779,14 +780,6 @@ def is_zero(e: Expression) -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
-def _exact_nf(e: Expression):
-    """The NF of e when it is exact data (a canonical tree that remembers its
-    NF, or a syntactic polynomial); otherwise None."""
-    if e._nf is None and is_polynomial(e):
-        return _to_nf(e)
-    return e._nf
-
-
 def polynomial_terms(e: Expression):
     """The terms of a polynomial e as {(a_1, ..., a_n): coefficient}, the key
     standing for z1^a_1 * ... * zn^a_n with n = max_var_index(e); None when
@@ -808,43 +801,11 @@ def polynomial_terms(e: Expression):
 # ---------------------------------------------------------------------------
 
 
-def _d(e: Expression, var: int) -> Expression:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == var else ZERO
-    if isinstance(e, Unary):
-        u, du = e.arg, _d(e.arg, var)
-        if e.op == "neg":
-            return neg(du)
-        if e.op == "sin":
-            return mul(Unary("cos", u), du)
-        if e.op == "cos":
-            return neg(mul(Unary("sin", u), du))
-        if e.op == "exp":
-            return mul(Unary("exp", u), du)
-        if e.op == "log":
-            return div(du, u)
-        return div(du, mul(const(2), Unary("sqrt", u)))
-    if e.op in ("add", "sub"):
-        inner, chain = _sum_chain(e)
-        out = _d(inner, var)
-        for node in chain:
-            out = Binary(node.op, out, _d(node.right, var))
-        return out
-    if e.op == "mul":
-        return add(mul(_d(e.left, var), e.right), mul(e.left, _d(e.right, var)))
-    if e.op == "div":
-        num = sub(mul(_d(e.left, var), e.right), mul(e.left, _d(e.right, var)))
-        return div(num, pow_(e.right, 2))
-    q = e.right.value
-    if q == 0:
-        return ZERO
-    return mul(mul(Const(q), Binary("pow", e.left, Const(q - 1))), _d(e.left, var))
-
-
-def _atom_diff(bk, var: int) -> dict:
-    """d/dz_var of the atom bk = ("f", name, u) of an exact NF."""
+def _base_diff(bk, var: int) -> dict:
+    """d/dz_var of a base bk that is not a variable: du for an opaque base
+    ("e", u), and the chain rule for an atom ("f", name, u)."""
+    if bk[0] == "e":
+        return _nf_diff(_to_nf(bk[1]), var)
     _, name, u = bk
     u_nf = _to_nf(u)
     if name == "log":
@@ -863,11 +824,11 @@ def _atom_diff(bk, var: int) -> dict:
 
 
 def _nf_diff(nf: dict, var: int) -> dict:
-    """d/dz_var of an exact NF, by the product rule over each monomial's
-    factors: z_var lowers its exponent by one, and an atom's power p gives
-    p atom^(p-1) d(atom)."""
+    """d/dz_var of an NF, by the product rule over each monomial's factors:
+    z_var lowers its exponent by one, and any other base's power p gives
+    p base^(p-1) d(base)."""
     out: dict = {}
-    atoms: dict = {}  # atom -> its derivative
+    bases: dict = {}  # base -> its derivative
     for m, c in nf.items():
         for k, (bk, p) in enumerate(m):
             if bk[0] == "v":
@@ -875,9 +836,9 @@ def _nf_diff(nf: dict, var: int) -> dict:
                     continue
                 d = None  # the factor's derivative is 1
             else:
-                d = atoms.get(bk)
+                d = bases.get(bk)
                 if d is None:
-                    d = atoms[bk] = _atom_diff(bk, var)
+                    d = bases[bk] = _base_diff(bk, var)
                 if not d:
                     continue
             q = p - 1
@@ -898,43 +859,24 @@ def differentiate(e: Expression, var: int) -> Expression:
     """Exact partial derivative with respect to variable `var` (1-based)."""
     if var < 1:
         raise ExprError(f"variable index must be >= 1, got {var}")
-    nf = _exact_nf(e)
-    if nf is None:
-        return simplify(_d(e, var))
-    return _canonical(_nf_diff(nf, var))
+    return _canonical(_nf_diff(_to_nf(e), var))
 
 
 def derivative_along(e: Expression, components: Sequence[Expression]) -> Expression:
     """sum_i (de/dz_i) * components[i-1], simplified: the derivative of e
     along the field with these components."""
-    nf = _exact_nf(e)
+    nf = _to_nf(e)
     out: dict = {}
     for i, c in enumerate(components, start=1):
-        d = _nf_diff(nf, i) if nf is not None else _to_nf(simplify(_d(e, i)))
-        _nf_addmul(out, d, _to_nf(c))
+        _nf_addmul(out, _nf_diff(nf, i), _to_nf(c))
     return _canonical(out)
-
-
-def _subst(e: Expression, maps: Sequence[Expression]) -> Expression:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return maps[e.index - 1]
-    if isinstance(e, Unary):
-        return Unary(e.op, _subst(e.arg, maps))
-    if e.op in ("add", "sub"):
-        inner, chain = _sum_chain(e)
-        out = _subst(inner, maps)
-        for node in chain:
-            out = Binary(node.op, out, _subst(node.right, maps))
-        return out
-    return Binary(e.op, _subst(e.left, maps), _subst(e.right, maps))
 
 
 def _nf_compose(nf: dict, maps: Sequence[Expression]) -> dict:
     """nf with maps[i-1] substituted for variable i.  A variable's image is
-    the NF of its map component and an atom's image is its function of the
-    image of its argument; the powers of each image are built once and
+    the NF of its map component, an atom's image is its function of the
+    image of its argument, and an opaque base's image is the image of the
+    NF of its tree; the powers of each image are built once and
     shared between terms and between nested atoms."""
     powers: dict = {}
 
@@ -943,11 +885,20 @@ def _nf_compose(nf: dict, maps: Sequence[Expression]) -> dict:
         if got is None:
             if p == 1:  # the image itself
                 if bk[0] == "v":
+                    if bk[1] > len(maps):
+                        raise ExprError(f"expression uses variable {bk[1]} but only {len(maps)} components given")
                     got = _to_nf(maps[bk[1] - 1])
+                elif bk[0] == "e":
+                    got = substitute(_to_nf(bk[1]))
                 else:
                     got = _nf_func(bk[1], substitute(_to_nf(bk[2])))
             elif type(p) is int and p > 1:
-                got = _nf_mul(power(bk, p - 1), power(bk, 1))
+                k = p - 1  # a loop up from the highest power built: p deep recursion overflows
+                while k > 1 and (bk, k) not in powers:
+                    k -= 1
+                got = power(bk, k)
+                for j in range(k + 1, p + 1):
+                    got = powers[(bk, j)] = _nf_mul(got, power(bk, 1))
             else:
                 got = _nf_pow(power(bk, 1), p)
             powers[(bk, p)] = got
@@ -971,13 +922,7 @@ def _nf_compose(nf: dict, maps: Sequence[Expression]) -> dict:
 
 def compose(e: Expression, maps: Sequence[Expression]) -> Expression:
     """Substitute maps[i-1] for variable i throughout, then simplify."""
-    k = max_var_index(e)
-    if k > len(maps):
-        raise ExprError(f"expression uses variable {k} but only {len(maps)} components given")
-    nf = _exact_nf(e)
-    if nf is None:
-        return simplify(_subst(e, maps))
-    return _canonical(_nf_compose(nf, maps))
+    return _canonical(_nf_compose(_to_nf(e), maps))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,16 @@ class TestSpecFile:
         with pytest.raises(SpecError):
             load_system_spec(write(tmp_path, "bad.spec", "family=lotka_volterra\na=1\nb=2\nc=3\n"))
 
+    @pytest.mark.parametrize("family", ["generic", "lotka_volterra", "lienard"])
+    def test_non_integer_dim_is_one_message(self, tmp_path, capsys, family):
+        # a family spec once exited with int()'s own message
+        text = {"generic": GENERIC, "lotka_volterra": LV_GOOD, "lienard": LIENARD}[family]
+        spec = write(tmp_path, "bad.spec", f"dim=abc\n{text.replace('dim=2', '')}")
+        assert main(["check", spec, "--kind", "symmetry"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "symflow: bad dim: 'abc'\n"
+
     def test_partial_sigma_rejected(self, tmp_path):
         with pytest.raises(SpecError):
             load_system_spec(write(tmp_path, "bad.spec", "dim=2\nF1=x\nF2=y\nS1=-x\n"))

@@ -25,6 +25,7 @@ from symflow.expr import (
 from symflow import expr as ex
 from symflow.parser import parse
 
+import calculus_reference as cr
 from conftest import p1, p2, poly_exprs, smooth_exprs
 
 
@@ -316,7 +317,7 @@ class TestDictCalculusMatchesTreePath:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_differentiate(self, e, var):
         for source in (e, simplify(e)):
-            assert differentiate(source, var) == simplify(ex._d(source, var))
+            assert differentiate(source, var) == simplify(cr._d(source, var))
 
     @given(laurent_exprs(), poly_exprs(max_leaves=6), poly_exprs(max_leaves=6))
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -324,7 +325,10 @@ class TestDictCalculusMatchesTreePath:
         maps = [m1, simplify(m2)]
         for source in (e, simplify(e)):
             try:
-                expected = simplify(ex._subst(source, maps))
+                # the reference walks the simplified tree: compose reads the
+                # NF, and a walk over a raw opaque base, (-y)^(-2) say, can
+                # reach another canonical form
+                expected = simplify(cr._subst(simplify(source), maps))
             except ExprError as exc:  # a map that vanishes under a negative power
                 with pytest.raises(ExprError, match=str(exc)):
                     compose(source, maps)
@@ -361,9 +365,11 @@ class TestLongChains:
         text = to_string(s)
         fresh = parse(text, 1)
         assert to_string(simplify(fresh)) == text
-        assert to_string(simplify(ex._d(fresh, 1))) == to_string(differentiate(s, 1))
-        swapped = ex._subst(Binary("mul", fresh, Unary("sin", Var(1))), [Var(1)])
+        assert to_string(simplify(cr._d(fresh, 1))) == to_string(differentiate(s, 1))
+        assert to_string(differentiate(fresh, 1)) == to_string(differentiate(s, 1))
+        swapped = cr._subst(Binary("mul", fresh, Unary("sin", Var(1))), [Var(1)])
         assert to_string(swapped) == f"({text})*sin(x)"
+        assert to_string(compose(fresh, [Var(1)])) == to_string(compose(s, [Var(1)])) == text
 
 
 def test_polynomial_terms():
@@ -523,8 +529,8 @@ class TestAtomNormalForms:
         s = simplify(p2(text))
         sigma = [Var(2), Var(1)]
         for got, want, tree in [
-            (compose(s, sigma), swapped, simplify(ex._subst(s, sigma))),
-            (differentiate(s, 1), d_dx, simplify(ex._d(s, 1))),
+            (compose(s, sigma), swapped, simplify(cr._subst(s, sigma))),
+            (differentiate(s, 1), d_dx, simplify(cr._d(s, 1))),
             (ex.derivative_along(s, sigma), along, None),
         ]:
             assert to_string(got) == want
@@ -537,7 +543,7 @@ class TestAtomNormalForms:
         s = _simplified(e)
         for source in (e, s):
             got = _outcome(differentiate, source, var)
-            assert got == _outcome(lambda: simplify(ex._d(source, var)))
+            assert got == _outcome(lambda: simplify(cr._d(source, var)))
             if not isinstance(got, tuple) and got._nf is not None:
                 assert got._nf == ex._to_nf(parse(to_string(got), 2))
 
@@ -549,7 +555,7 @@ class TestAtomNormalForms:
         swap = [Binary("mul", Const(signs[0]), Var(2)), Binary("mul", Const(signs[1]), Var(1))]
         for maps in (swap, [m1, simplify(m2)], [simplify(m1), m2]):
             for source in (e, s):
-                expected = _outcome(lambda: simplify(ex._subst(source, maps)))
+                expected = _outcome(lambda: simplify(cr._subst(simplify(source), maps)))
                 assert _outcome(compose, source, maps) == expected
 
     @given(atom_exprs(), smooth_exprs(max_leaves=6), poly_exprs(max_leaves=6))
@@ -558,10 +564,58 @@ class TestAtomNormalForms:
         s = _simplified(e)
         expected = _outcome(lambda: simplify(Binary(
             "add",
-            Binary("mul", simplify(ex._d(s, 1)), c1),
-            Binary("mul", simplify(ex._d(s, 2)), c2),
+            Binary("mul", simplify(cr._d(s, 1)), c1),
+            Binary("mul", simplify(cr._d(s, 2)), c2),
         )))
         assert _outcome(ex.derivative_along, s, [c1, c2]) == expected
+
+
+_OPAQUE_POWERS = [Fraction(k) for k in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
+
+
+def opaque_exprs(max_leaves=8):
+    """Trees whose normal forms can hold opaque bases: quotients, powers
+    +-1, +-2, 3 and +-1/2 of any subtree, and sqrt, sin and exp."""
+    leaf = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Const),
+        st.integers(min_value=1, max_value=2).map(Var),
+    )
+    return st.recursive(
+        leaf,
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+            st.builds(lambda b, q: Binary("pow", b, Const(q)), children, st.sampled_from(_OPAQUE_POWERS)),
+            st.builds(Unary, st.sampled_from(["neg", "sqrt", "sin", "exp"]), children),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+class TestCalculusReadsOnlyTheNormalForm:
+    """differentiate, compose and derivative_along give one result for any
+    two trees of one normal form, however each tree was written."""
+
+    @pytest.mark.parametrize("text, fn, arg, printed", [
+        ("(-y)^(-2)", compose, [Var(1), Binary("add", Var(1), Var(2))], "(x + y)^(-2)"),
+        ("x/(1+y^2)", differentiate, 1, "(y^2 + 1)^(-1)"),
+        ("1/(x+y)", differentiate, 1, "-(x + y)^(-2)"),
+        ("sqrt(1 + y^2)*x", ex.derivative_along, [Var(2), Var(1)], "x^2*y*(y^2 + 1)^(-1/2) + y*(y^2 + 1)^(1/2)"),
+        # y cancels, so one map component is enough
+        ("x + y - y", compose, [Binary("mul", Const(2), Var(1))], "2*x"),
+    ])
+    def test_fixed_cases(self, text, fn, arg, printed):
+        e = p2(text)
+        assert to_string(fn(e, arg)) == to_string(fn(simplify(e), arg)) == printed
+
+    @given(opaque_exprs(), st.integers(1, 2), poly_exprs(max_leaves=5), smooth_exprs(max_leaves=5))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_equal_normal_forms_give_equal_results(self, e, var, m1, m2):
+        s = _simplified(e)
+        assume(ex._to_nf(e) == ex._to_nf(s))
+        # one map component is too few exactly when the NF holds y
+        maps = [m1, m2][: var]
+        for fn, arg in ((differentiate, var), (compose, maps), (ex.derivative_along, [m2, m1])):
+            assert _outcome(fn, e, arg) == _outcome(fn, s, arg)
 
 
 class TestCachedKeys:

@@ -2,12 +2,16 @@
 
 SymPy is a test-only dependency: without it this module is skipped.  Each
 test compares an expanded difference with 0, so it holds whatever canonical
-form either side prints.  Polynomial data and sums of polynomial times
-sin/cos/exp/log of a polynomial are checked; SymPy orients sin(-u) and
+form either side prints.  Polynomial data, sums of polynomial times
+sin/cos/exp/log of a polynomial, and sums of quotients by (and powers of)
+nonconstant polynomials are checked; SymPy orients sin(-u) and
 cos(-u) itself, and expands function arguments, so the two sides meet.
-The last test is numeric: SymPy evaluates the tower law at the witnesses of
-a sampled check and must give the residuals the check reports.
+Two tests are numeric: a rational tower must take SymPy's values at fixed
+points, and SymPy evaluates the tower law at the witnesses of a sampled
+check and must give the residuals the check reports.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +20,9 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from symflow.checks import tower_order_verdicts  # noqa: E402
-from symflow.expr import Binary, Const, ExprError, Unary, Var, compose, differentiate, simplify  # noqa: E402
+from symflow.expr import (  # noqa: E402
+    Binary, Const, ExprError, Unary, Var, compose, differentiate, evaluate, node_count, simplify, to_string,
+)
 from symflow.fields import SmoothMap, VectorField  # noqa: E402
 from symflow.geometry import DomainBox  # noqa: E402
 from symflow.parser import parse  # noqa: E402
@@ -82,7 +88,7 @@ def transcendental_trees(n, max_terms=3, functions=("sin", "cos", "exp", "log"))
     return st.lists(term, min_size=1, max_size=max_terms).map(_sum)
 
 
-_FUNCTIONS = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp, "log": sympy.log}
+_FUNCTIONS = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp, "log": sympy.log, "sqrt": sympy.sqrt}
 
 
 def to_sympy(e):
@@ -221,6 +227,81 @@ def test_build_tower_transcendental(data):
     for j in range(order + 1):
         assert same(to_sympy(tower.orders[j]), want), f"order {j}"
         want = sympy.expand(sum(sympy.diff(want, z[i]) * F[i] for i in range(n)))
+
+
+# --- rational data: quotients by nonconstant polynomials (opaque bases) -------
+
+_divisor_powers = st.sampled_from([Fraction(-1), Fraction(-2), Fraction(1, 2), Fraction(-1, 2)])
+
+
+def rational_trees(n, max_terms=3):
+    """Sums of up to max_terms terms, each a polynomial tree, a polynomial
+    tree divided by a nonconstant polynomial tree, or a polynomial tree times
+    a power -1, -2 or +-1/2 of a nonconstant polynomial tree, in n
+    variables: the divisors and the bases stay opaque in the normal form."""
+    divisor = poly_trees(n, max_leaves=4).filter(lambda u: not isinstance(simplify(u), Const))
+    term = st.one_of(
+        poly_trees(n, max_leaves=4),
+        st.builds(lambda p, u: Binary("div", p, u), poly_trees(n, max_leaves=3), divisor),
+        st.builds(lambda p, u, q: Binary("mul", p, Binary("pow", u, Const(q))),
+                  poly_trees(n, max_leaves=3), divisor, _divisor_powers),
+    )
+    return st.lists(term, min_size=1, max_size=max_terms).map(_sum)
+
+
+@given(st.data())
+@TRANSCENDENTAL
+def test_differentiate_rational(data):
+    n = data.draw(small_dims)
+    e = data.draw(rational_trees(n))
+    s = simplify(e)
+    for var in range(1, n + 1):
+        want = sympy.diff(to_sympy(e), SYMBOLS[var - 1])
+        assert same(to_sympy(differentiate(e, var)), want)
+        assert same(to_sympy(differentiate(s, var)), want)
+
+
+@given(st.data())
+@TRANSCENDENTAL
+def test_compose_rational(data):
+    n = data.draw(small_dims)
+    e = data.draw(rational_trees(n))
+    maps = data.draw(st.one_of(signed_permutations(n), st.lists(poly_trees(n, max_leaves=3), min_size=n, max_size=n)))
+    want = to_sympy(e).xreplace({SYMBOLS[i]: to_sympy(m) for i, m in enumerate(maps)})
+    try:
+        got = compose(e, maps)
+    except ExprError:  # a map that sends a divisor to 0; SymPy gives zoo
+        assume(False)
+    assert same(to_sympy(got), want)
+    assert same(to_sympy(compose(simplify(e), [simplify(m) for m in maps])), want)
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("x/(1+y^2)", "(y^2 + 1)^(-1)"),
+    ("1/(x+y)", "-(x + y)^(-2)"),
+])
+def test_derivative_of_a_quotient_keeps_the_divisor(text, printed):
+    for source in (parse(text, 2), simplify(parse(text, 2))):
+        got = differentiate(source, 1)
+        assert to_string(got) == printed
+        assert same(to_sympy(got), sympy.diff(to_sympy(parse(text, 2)), SYMBOLS[0]))
+
+
+def test_rational_tower_stays_small():
+    # every order keeps the divisor x^2 + 1 as one opaque base instead of
+    # expanding its powers (x^4 + 2*x^2 + 1, ...)
+    texts = ("x*y/(1+x^2)", "-y/(1+x^2) + sqrt(1+y^2)")
+    tower = build_tower(VectorField([parse(t, 2) for t in texts], DomainBox.cube(-1.0, 1.0, 2)), 4)
+    assert node_count(tower.orders[4]) <= 2149
+    z = SYMBOLS[:2]
+    F = [to_sympy(parse(t, 2)) for t in texts]
+    dj = sum(sympy.diff(F[i], z[i]) for i in range(2))
+    for j, order in enumerate(tower.orders):
+        if j:
+            dj = sum(sympy.diff(dj, z[i]) * F[i] for i in range(2))
+        for point in ((0.3, -0.7), (-0.9, 0.4)):
+            want = float(dj.subs(dict(zip(z, point))).evalf(30))
+            assert abs(evaluate(order, point) - want) <= 1e-12 * (1 + abs(want)), f"order {j}"
 
 
 # --- sampled tower law: witnesses against SymPy -------------------------------
