@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence, Union
 
 import numpy as np
@@ -134,6 +135,52 @@ def neg(a: Expression) -> Unary:
 # ---------------------------------------------------------------------------
 
 
+def _walk(e: Expression, known):
+    """e's nodes in postorder as (event, node) pairs, with an explicit stack.
+    A raw node gives one event in `_nf_postorder`'s vocabulary, plus ("div",
+    None) and ("f", op, arg) for sqrt too; a pow exponent is no node.  A node
+    that remembers its (exact) NF gives its canonical tree's events off the
+    NF, unbuilt, each atom's argument walked just before the atom.  known(n)
+    is the caller's value for a node n, or None; n with a value v gives the
+    one event ("ref", v), unwalked.  node is the node the event completes."""
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is tuple:  # (event, node), whose operands are walked
+            yield x
+        elif cls is list:  # [events, i]: a canonical tree's inner events from i on
+            events, i = x
+            for i in range(i, len(events)):
+                ev = events[i]
+                if ev[0] == "f":
+                    v = known(ev[2])
+                    if v is None:  # walk the argument, then go on
+                        todo += [events, i + 1], (ev, None), ev[2]
+                        break
+                    yield ("ref", v), ev[2]
+                yield ev, None
+        else:
+            v = known(x)
+            if v is not None:
+                yield ("ref", v), x
+            elif x._nf is not None:
+                events = list(_nf_postorder(x._nf))
+                ev = events.pop()  # the event that completes x
+                todo += ((ev, x), ev[2]) if ev[0] == "f" else ((ev, x),)
+                todo.append([events, 0])
+            elif cls is Const:
+                yield ("const", x.value), x
+            elif cls is Var:
+                yield ("v", x.index), x
+            elif cls is Unary:
+                todo += (("neg", None) if x.op == "neg" else ("f", x.op, x.arg), x), x.arg
+            elif x.op == "pow":
+                todo += (("pow", x.right.value), x), x.left
+            else:
+                todo += ((x.op, None), x), x.right, x.left
+
+
 def node_count(e: Expression) -> int:
     count = 0
     stack = [e]
@@ -251,10 +298,6 @@ def _const_part(v) -> tuple:
     return _const_text(v), _PREC_NEG if v < 0 else (_PREC_MUL if v.denominator != 1 else _PREC_ATOM)
 
 
-def _var_part(index: int) -> tuple:
-    return (f"z{index}" if index > 3 else "xyz"[index - 1]), _PREC_ATOM
-
-
 def _wrap(part: tuple, context_prec: int) -> str:
     text, prec = part
     if prec < context_prec:
@@ -267,7 +310,7 @@ _INFIX = {"add": (" + ", _PREC_ADD), "sub": (" - ", _PREC_ADD), "mul": ("*", _PR
 
 def _apply(op: str, q, parts: list) -> tuple:
     """(text, precedence) of op over its operands' (text, precedence),
-    popped off the end of parts; q is a pow's exponent."""
+    popped off the end of parts; q is a pow's exponent or an f's name."""
     if op in _INFIX:
         right = parts.pop()
         left = parts.pop()
@@ -283,59 +326,35 @@ def _apply(op: str, q, parts: list) -> tuple:
         return f"{base}^({_const_text(q)})", _PREC_POW
     if op == "neg":
         return "-" + _wrap(arg, _PREC_NEG + 1), _PREC_NEG
-    return f"{op}({arg[0]})", _PREC_ATOM
+    return f"{q}({arg[0]})", _PREC_ATOM
 
 
-def _nf_part(nf: dict) -> tuple:
-    """(text, precedence) of the canonical tree of an exact nf (no opaque
-    base), read off nf: an atom prints its argument's kept text."""
-    parts: list = []
-    for node in _nf_postorder(nf):
-        op = node[0]
-        if op == "const":
-            parts.append(_const_part(node[1]))
-        elif op == "v":
-            parts.append(_var_part(node[1]))
-        elif op == "f":
-            parts.append((_text(node[2]), _PREC_ATOM))
-            parts.append(_apply(node[1], None, parts))
-        else:
-            parts.append(_apply(op, node[1], parts))
-    return parts[0]
+def _prec(e: Expression) -> int:
+    """The precedence of e's text; a lazy tree is a sum, and stays unbuilt."""
+    if e._nf is not None and len(e._nf) > 1:
+        return _PREC_ADD
+    if e.__class__ is Binary:
+        return _INFIX[e.op][1] if e.op in _INFIX else _PREC_POW
+    if e.__class__ is Unary:
+        return _PREC_NEG if e.op == "neg" else _PREC_ATOM
+    return _const_part(e.value)[1] if e.__class__ is Const else _PREC_ATOM
 
 
 def to_string(e: Expression) -> str:
     """Deterministic infix rendering; parses back to the same tree.  A node
-    with an NF is printed off its NF."""
+    with an NF is printed off its NF, and a node with a kept text by it."""
     parts: list = []
-    todo: list = [e]
-    while todo:
-        node = todo.pop()
-        if type(node) is tuple:  # (node,): its operands are rendered
-            node = node[0]
-            parts.append(_apply(node.op, node.right.value if node.op == "pow" else None, parts))
-        elif node._nf is not None:
-            parts.append(_nf_part(node._nf))
-        elif isinstance(node, Unary):
-            todo += ((node,), node.arg)
-        elif isinstance(node, Binary):
-            todo.append((node,))
-            if node.op != "pow":
-                todo.append(node.right)
-            todo.append(node.left)
-        elif isinstance(node, Const):
-            parts.append(_const_part(node.value))
+    for ev, node in _walk(e, _TEXT):
+        op, x = ev[0], ev[1]
+        if op == "const":
+            parts.append(_const_part(x))
+        elif op == "v":
+            parts.append((f"z{x}" if x > 3 else "xyz"[x - 1], _PREC_ATOM))
+        elif op == "ref":
+            parts.append((x, _prec(node)))
         else:
-            parts.append(_var_part(node.index))
+            parts.append(_apply(op, x, parts))
     return parts[0][0]
-
-
-def _children(e: Expression) -> tuple:
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    if isinstance(e, Unary):
-        return (e.arg,)
-    return ()
 
 
 def _fields(e: Expression) -> tuple:
@@ -346,23 +365,31 @@ def _fields(e: Expression) -> tuple:
     return (e.value,) if isinstance(e, Const) else (e.index,)
 
 
+class _Hashed(int):
+    """A node's hash h in a tuple of fields: an int that hashes to h."""
+
+    __hash__ = int.__int__
+
+
 def _tree_hash(e: Expression) -> int:
-    """The dataclass hash, hash of the tuple of fields, computed once per
-    node and bottom-up with an explicit stack, so that a long sum neither
-    recurses nor is re-hashed at every dict lookup of an atom key."""
+    """The dataclass hash, hash of the tuple of fields, kept on each node of
+    one walk that neither recurses nor builds a lazy tree."""
     if e._hash is None:
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            todo = [c for c in _children(node) if c._hash is None]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if node._hash is not None:  # a shared subtree, pushed twice
-                continue
-            # the children's hashes are cached, so this hash is one level deep
-            object.__setattr__(node, "_hash", hash(_fields(node)))
+        hashes: list = []
+        for ev, node in _walk(e, _HASH):
+            op, x = ev[0], ev[1]
+            if op == "const" or op == "v":
+                h = hash((x,))
+            elif op == "ref":
+                h = x
+            elif op == "f" or op == "neg":
+                h = hash((x if op == "f" else op, _Hashed(hashes.pop())))
+            else:  # a pow's exponent is a Const node
+                right = _Hashed(hash((x,)) if op == "pow" else hashes.pop())
+                h = hash((op, _Hashed(hashes.pop()), right))
+            if node is not None:
+                object.__setattr__(node, "_hash", h)
+            hashes.append(h)
     return e._hash
 
 
@@ -399,6 +426,8 @@ for _cls in (Const, Var, Unary, Binary):
     _cls._hash = None
     _cls._text = None
 
+_NF, _HASH, _TEXT = attrgetter("_nf"), attrgetter("_hash"), attrgetter("_text")
+
 
 # ---------------------------------------------------------------------------
 # canonical form
@@ -432,15 +461,15 @@ for _cls in (Const, Var, Unary, Binary):
 # The tree of an exact NF of two or more terms is built on first read:
 # `_canonical` returns a Binary that holds only the NF, and
 # `Binary.__getattr__` builds its op, left and right with `_nf_to_expr` when
-# one is first read.  `_to_nf`, `is_polynomial`, `max_var_index` and
-# `node_count` read the NF instead, and so do `to_string` and the kernel
-# emitter (`numeric._Emitter`), which walk the tree's nodes off the NF with
-# `_nf_postorder`, the one place that shapes a canonical tree, and give the
-# text and the kernel of that tree.  So neither a check that decides on
-# NFs (a tower order, a sigma-image, a residual that cancels) nor a sampled
-# check builds the tree; equality, hashing and reads of its fields (the
-# tree-walking evaluators among them) build it and see the same tree as
-# ever.  A walk with an NF shortcut tests `_nf` before any field.
+# one is first read.  `is_polynomial`, `max_var_index` and `node_count` read
+# the NF instead.  `_to_nf`, `to_string`, `_tree_hash` and the kernel
+# emitter (`numeric._Emitter`) fold over one walk, `_walk`, which reads a
+# canonical tree's nodes off its NF with `_nf_postorder`, the one place that
+# shapes a canonical tree.  So neither a check that decides on NFs (a tower
+# order, a sigma-image, a residual that cancels), nor a sampled check, nor
+# a dict keyed on an atom builds the tree; equality and reads of its fields
+# (the tree-walking evaluators among them) build it and see the same tree
+# as ever.  A walk with an NF shortcut tests `_nf` before any field.
 #
 # differentiate, compose and derivative_along have one path: they work on
 # the dict `_to_nf(e)` of any input, so their result depends only on that
@@ -665,43 +694,36 @@ def _nf_func(name: str, arg: dict) -> dict:
 
 
 def _to_nf(e: Expression) -> dict:
+    """The NF of e, folded over a walk that stops at each tree remembering its
+    NF; a sum adds in place only into the sum this fold built last."""
     if e._nf is not None:
         return e._nf
-    if isinstance(e, Const):
-        return _nf_const(e.value)
-    if isinstance(e, Var):
-        return {((("v", e.index), 1),): 1}
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return _nf_scale(_to_nf(e.arg), -1)
-        if e.op == "sqrt":
-            return _nf_pow(_to_nf(e.arg), Fraction(1, 2))
-        return _nf_func(e.op, _to_nf(e.arg))
-    if e.op in ("add", "sub"):
-        inner, chain = _sum_chain(e)
-        out = dict(_to_nf(inner))
-        for node in chain:
-            right = _to_nf(node.right)
-            _nf_iadd(out, right if node.op == "add" else _nf_scale(right, -1))
-        return out
-    if e.op == "mul":
-        return _nf_mul(_to_nf(e.left), _to_nf(e.right))
-    if e.op == "div":
-        return _nf_mul(_to_nf(e.left), _nf_invert(_to_nf(e.right)))
-    return _nf_pow(_to_nf(e.left), e.right.value)
-
-
-def _sum_chain(e: Binary) -> tuple:
-    """The left-deep add/sub chain that starts at e, as its innermost left
-    operand and its nodes from the inside out, so that a long sum is walked
-    in a loop.  Below e the chain stops at a tree that remembers its NF."""
-    chain = [e]
-    e = e.left
-    while e._nf is None and isinstance(e, Binary) and e.op in ("add", "sub"):
-        chain.append(e)
-        e = e.left
-    chain.reverse()
-    return e, chain
+    nfs: list = []
+    own = None  # the sum this fold built last, which it adds into in place
+    for ev, node in _walk(e, _NF):
+        op, x = ev[0], ev[1]
+        if op == "const":
+            nf = _nf_const(x)
+        elif op == "v":
+            nf = {((ev, 1),): 1}
+        elif op == "ref":
+            nf = x
+        elif op == "f":
+            nf = _nf_pow(nfs.pop(), Fraction(1, 2)) if x == "sqrt" else _nf_func(x, nfs.pop())
+        elif op == "neg":
+            nf = _nf_scale(nfs.pop(), -1)
+        elif op == "pow":
+            nf = _nf_pow(nfs.pop(), x)
+        else:
+            right, nf = nfs.pop(), nfs.pop()
+            if op == "mul":
+                nf = _nf_mul(nf, right)
+            elif op == "div":
+                nf = _nf_mul(nf, _nf_invert(right))
+            else:
+                nf = own = _nf_iadd(nf if nf is own else dict(nf), right if op == "add" else _nf_scale(right, -1))
+        nfs.append(nf)
+    return nfs[0]
 
 
 def _nf_postorder(nf: dict):

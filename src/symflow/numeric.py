@@ -10,22 +10,23 @@ rather than exceptions; callers mask them and set np.errstate.
 
 One emitter (`_Emitter`) records every kernel as a tape of numpy
 operations, one common-subexpression temporary per distinct subterm, and
-folds subterms without variables into constants.  A canonical tree that
-remembers its normal form is emitted off that form, without building the
-tree, and gives the tape the tree would.  An integer power is one
-tape entry, computed by the tree walk's own chain of multiplications
-(`expr.int_power`), so a polynomial kernel gives the same bits on every
-row, point and host; numpy's exp, log, sin and cos may differ between
-hosts.  `compile_components`, for the RK4 and Newton kernels that run
-thousands of times, renders the tape as straight-line source and compiles
-it once; each output goes into out, by its own ufunc where it has one,
-and each temporary is deleted after its last use.  `compile_scaled`, behind every sampled zero
-test and sampled law, runs a few times per kernel, so it runs the tape
-directly, with no source text and no `exec`: the same operators and
-functions in the same order, so the same bits.  It also returns per row the
-largest |subterm|, which sets the relative tolerance, and a mask of the rows
-where every subterm is finite, which are the rows the tree walk
-`expr.evaluate` can evaluate.
+folds subterms without variables into constants.  It folds over
+`expr._walk`, the walk behind the normal form, the text and the hash, so a
+canonical tree that remembers its normal form gives the tape its tree
+would, unbuilt.  An integer power is one tape entry, computed by the tree
+walk's own chain of multiplications (`expr.int_power`), so a polynomial
+kernel gives the same bits on every row, point and host; numpy's exp,
+log, sin and cos may differ between hosts.  `compile_components`, for the
+RK4 and Newton kernels that run thousands of times, renders the tape as
+straight-line source and compiles it once; each output goes into out, by
+its own ufunc where it has one, and each temporary is deleted after its
+last use.  `compile_scaled`, behind every sampled zero test and sampled
+law, runs a few times per kernel, so it runs the tape directly, with no
+source text and no `exec`: the same operators and functions in the same
+order, so the same bits.  It also returns per row the largest |subterm|,
+which sets the relative tolerance, and a mask of the rows where every
+subterm is finite, which are the rows the tree walk `expr.evaluate` can
+evaluate.
 
 Every RK4 integration goes through `rk4_march`, which marches one stacked
 state: a C-contiguous array with one row per component and one column per
@@ -52,12 +53,11 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Const, Expression, Unary, Var, _nf_postorder, add, const_float, int_power, mul
+from .expr import Expression, Var, _walk, add, const_float, int_power, mul
 
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # the Python operators behind _SYMBOLS, as the rendered source applies them
@@ -103,21 +103,15 @@ class _Emitter:
     applies the same operators and numpy functions in the same order, so
     both give the same bits.
 
-    Subterms are hash-consed on (operator, operands), and a node already
-    emitted is found again by its id, so n nodes cost O(n): a dict keyed on
-    the nodes themselves would compare equal but distinct subtrees node by
-    node.  Subterms without variables are folded into constants
-    (`_fold`).  The traversal keeps its own stack and the code is flat, so a
-    deep tree meets neither the recursion limit nor the parser's nesting
-    limit.  `consts` holds the value of every constant subterm, leaves
-    included; a pow exponent is no subterm.
-
-    A node that remembers its normal form (`_nf`) is emitted off it: the
-    nodes of its canonical tree come from `expr._nf_postorder` in the order
-    the tree's walk reaches them, each through the same hash-cons keys and
-    folds, and an atom's argument is emitted in its turn, on the same
-    stack.  So the tape, `consts` and the source are those of the tree,
-    which is never built.
+    `emit` folds over `expr._walk`, which skips a node already emitted,
+    found again by its id: n nodes cost O(n), where a dict keyed on the
+    nodes would compare equal but distinct subtrees node by node.  Subterms
+    are hash-consed on (operator, operands), and those without variables
+    are folded into constants (`_fold`).  The walk keeps its own stack, so a
+    deep tree meets no recursion limit, and reads a canonical tree off its
+    normal form, unbuilt, giving its tree's tape, `consts` and source.
+    `consts` holds the value of every constant subterm, leaves included; a
+    pow exponent is no subterm.
     """
 
     def __init__(self):
@@ -135,105 +129,45 @@ class _Emitter:
         """Emit root and its subterms, operands before the nodes that use
         them; returns root's temporary index, or its value if constant."""
         seen = self._seen
-        # (node, None) is a node to visit, (node, True) one whose operands
-        # are emitted, and (node, (nodes, values, atom)) a node being
-        # emitted off its NF, to resume at atom
-        stack: list = [(root, None)]
-        while stack:
-            e, state = stack.pop()
-            cls = e.__class__
-            if state is None:
-                if id(e) in seen:
-                    continue
-                if e._nf is not None:
-                    state = (_nf_postorder(e._nf), [], None)
-                elif cls is Const or cls is Var:
-                    state = True
-                else:
-                    stack.append((e, True))
-                    if cls is Unary:
-                        stack.append((e.arg, None))
-                    else:
-                        if e.op != "pow":
-                            stack.append((e.right, None))
-                        stack.append((e.left, None))
-                    continue
-            if state is True:
-                seen[id(e)] = self._node(e, cls)
-                continue
-            nodes, vals, atom = state
-            atom = self._emit_nf(nodes, vals, atom)
-            if atom is None:
-                seen[id(e)] = vals[0]
-            else:  # emit the atom's argument first
-                stack += ((e, (nodes, vals, atom)), (atom[2], None))
-        return seen[id(root)]
-
-    def _emit_nf(self, nodes, vals: list, atom=None):
-        """Emit the nodes of an exact NF (`_nf_postorder`; no opaque base),
-        atom first if given, pushing their values on vals; stop at an atom
-        whose argument is not emitted yet, and return that atom."""
-        seen = self._seen
-        for node in nodes if atom is None else chain((atom,), nodes):
-            op, x = node[0], node[1]
+        vals: list = []
+        for ev, node in _walk(root, lambda e: seen.get(id(e))):
+            op, x = ev[0], ev[1]
             if op == "const":
-                vals.append(self._const(const_float(x)))
+                v = const_float(x)
+                self.consts.append(v)
             elif op == "v":
-                vals.append(self._var(x))
+                self.nvars = max(self.nvars, x)
+                v = self._op("col", x - 1)
             elif op == "f":
-                a = seen.get(id(node[2]))
-                if a is None:
-                    return node
-                vals.append(self._op(x, a))
+                v = self._op(x, vals.pop())
             elif op == "pow" or op == "neg":
-                vals.append(self._op(op, vals.pop(), x))
+                v = self._op(op, vals.pop(), x)
+            elif op == "ref":
+                v = x
             else:
                 b = vals.pop()
-                vals.append(self._op(op, vals.pop(), b))
-        return None
-
-    def _node(self, e: Expression, cls):
-        if cls is Const:
-            return self._const(const_float(e.value))
-        if cls is Var:
-            return self._var(e.index)
-        if cls is Unary:
-            return self._op(e.op, self._seen[id(e.arg)])
-        a = self._seen[id(e.left)]
-        if e.op == "pow":
-            return self._op("pow", a, e.right.value)
-        return self._op(e.op, a, self._seen[id(e.right)])
-
-    def _var(self, index: int) -> int:
-        self.nvars = max(self.nvars, index)
-        return self._temp(("col", index - 1, None))
+                v = self._op(op, vals.pop(), b)
+            if node is not None:
+                seen[id(node)] = v
+            vals.append(v)
+        return vals[0]
 
     def _op(self, op: str, a, b=None):
         """The temporary, or the folded constant, of op over the operands a
         and b, each a temporary index or a float; b is a pow's rational
-        exponent, and None for a unary op."""
+        exponent, and None for a unary op or a column."""
+        if a.__class__ is float and (b is None or op == "pow" or b.__class__ is float):
+            v = _fold(op, None, a, b) if op in _BINARY else _fold(op, b, a)
+            self.consts.append(v)
+            return v
         if op == "pow":
-            if a.__class__ is float:
-                return self._const(_fold(op, b, a))
-            if b.denominator == 1:
-                return self._temp(("pow", a, int(b)))
-            return self._temp(("float_power", a, float(b)))
-        if b is None:
-            if a.__class__ is float:
-                return self._const(_fold(op, None, a))
-            return self._temp((op, a, None))
-        if a.__class__ is float and b.__class__ is float:
-            return self._const(_fold(op, None, a, b))
-        # a constant operand is keyed by its text: 0.0 and -0.0 differ
-        key = (op, a if a.__class__ is int else _literal(a), b if b.__class__ is int else _literal(b))
-        return self._temp((op, a, b), key)
-
-    def _const(self, v: float) -> float:
-        self.consts.append(v)
-        return v
-
-    def _temp(self, entry: tuple, key=None) -> int:
-        key = entry if key is None else key
+            key = entry = ("pow", a, int(b)) if b.denominator == 1 else ("float_power", a, float(b))
+        elif b is None:
+            key = entry = (op, a, None)
+        else:
+            entry = (op, a, b)
+            # a constant operand is keyed by its text: 0.0 and -0.0 differ
+            key = (op, a if a.__class__ is int else _literal(a), b if b.__class__ is int else _literal(b))
         k = self._keys.get(key)
         if k is None:
             k = self._keys[key] = len(self.tape)

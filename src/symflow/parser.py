@@ -28,6 +28,10 @@ from .expr import Binary, Const, Expression, Unary, Var
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
+# input nested deeper, counting parentheses, calls, unary minus and exponents
+# together, is a ParseError: at 6 frames a level, far below the recursion limit
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),]))")
 
 
@@ -95,6 +99,7 @@ class _Parser:
         self.dimension = dimension
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # the nesting level, which each level enters unary at
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -140,10 +145,16 @@ class _Parser:
 
     def unary(self) -> Expression:
         tok = self.peek()
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.pos)
+        self.depth += 1
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return _fold_unary("neg", self.unary())
-        return self.power()
+            e = _fold_unary("neg", self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expression:
         base = self.atom()

@@ -59,8 +59,11 @@ def build_tower(F: VectorField, max_order: int, node_budget: Optional[int] = Non
     orders = [divergence(F)]
     if ex.node_count(orders[0]) > node_budget:
         raise TowerBudgetError("divergence alone exceeds the node budget")
+    # a component's canonical tree, if it remembers its (exact) NF, gives every order that NF unwalked
+    exact = [s if s._nf is not None else c for c, s in zip(F.components, map(ex.simplify, F.components))]
+    F_nf = VectorField(exact, F.domain)
     for _ in range(max_order):
-        nxt = lie_derivative(orders[-1], F)
+        nxt = lie_derivative(orders[-1], F_nf)
         nodes = ex.node_count(nxt)
         if nodes > node_budget:
             raise TowerBudgetError(

@@ -1,9 +1,15 @@
-"""The tree-walking derivative and substitution that the normal-form
-calculus (`expr.differentiate`, `expr.compose`, `expr.derivative_along`)
-replaced, kept as a test-only reference: `_d` differentiates a tree node by
-node and `_subst` replaces each variable by its map component, both without
-simplifying.  `simplify` of their result is the reference canonical form."""
+"""Test-only references for the normal-form core, each a recursive tree
+walk that the core replaced:
 
+- `_d` differentiates a tree node by node and `_subst` replaces each
+  variable by its map component, both without simplifying; `simplify` of
+  their result is the reference canonical form of the normal-form calculus
+  (`expr.differentiate`, `expr.compose`, `expr.derivative_along`);
+- `_to_nf` is the normal form of a tree by recursion on its nodes (add and
+  sub chains in a loop, `_sum_chain`), the reference for `expr._to_nf`,
+  which folds over one explicit-stack walk."""
+
+from fractions import Fraction
 from typing import Sequence
 
 from symflow.expr import (
@@ -14,7 +20,13 @@ from symflow.expr import (
     Expression,
     Unary,
     Var,
-    _sum_chain,
+    _nf_const,
+    _nf_func,
+    _nf_iadd,
+    _nf_invert,
+    _nf_mul,
+    _nf_pow,
+    _nf_scale,
     add,
     const,
     div,
@@ -23,6 +35,46 @@ from symflow.expr import (
     pow_,
     sub,
 )
+
+
+def _sum_chain(e: Binary) -> tuple:
+    """The left-deep add/sub chain that starts at e, as its innermost left
+    operand and its nodes from the inside out, so that a long sum is walked
+    in a loop.  Below e the chain stops at a tree that remembers its NF."""
+    chain = [e]
+    e = e.left
+    while e._nf is None and isinstance(e, Binary) and e.op in ("add", "sub"):
+        chain.append(e)
+        e = e.left
+    chain.reverse()
+    return e, chain
+
+
+def _to_nf(e: Expression) -> dict:
+    if e._nf is not None:
+        return e._nf
+    if isinstance(e, Const):
+        return _nf_const(e.value)
+    if isinstance(e, Var):
+        return {((("v", e.index), 1),): 1}
+    if isinstance(e, Unary):
+        if e.op == "neg":
+            return _nf_scale(_to_nf(e.arg), -1)
+        if e.op == "sqrt":
+            return _nf_pow(_to_nf(e.arg), Fraction(1, 2))
+        return _nf_func(e.op, _to_nf(e.arg))
+    if e.op in ("add", "sub"):
+        inner, chain = _sum_chain(e)
+        out = dict(_to_nf(inner))
+        for node in chain:
+            right = _to_nf(node.right)
+            _nf_iadd(out, right if node.op == "add" else _nf_scale(right, -1))
+        return out
+    if e.op == "mul":
+        return _nf_mul(_to_nf(e.left), _to_nf(e.right))
+    if e.op == "div":
+        return _nf_mul(_to_nf(e.left), _nf_invert(_to_nf(e.right)))
+    return _nf_pow(_to_nf(e.left), e.right.value)
 
 
 def _d(e: Expression, var: int) -> Expression:

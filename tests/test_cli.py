@@ -399,6 +399,38 @@ class TestCleanExit:
         assert result in (0, 1)
         assert json.loads(captured.out)["exit_code"] == result
 
+    def test_long_product_exits_cleanly(self, tmp_path, capsys):
+        # a product of 1200 factors is a left-deep chain 1200 nodes deep:
+        # its normal form must not recurse
+        product = "*".join(["x"] * 1200)
+        spec = write(tmp_path, "prod.spec", f"dim=2\nF1=y\nF2=-{product}\nS1=-x\nS2=y\nbox=-1,1,-1,1\n")
+        result = main(["check", spec, "--kind", "reversibility", "--orders", "1"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert result in (0, 1)
+        assert json.loads(captured.out)["exit_code"] == result
+
+    @pytest.mark.parametrize("form", ["paren", "call", "neg", "power"])
+    def test_nesting_at_the_parser_bound_ends_cleanly(self, tmp_path, capsys, form):
+        from symflow.parser import MAX_DEPTH
+        from test_parser import nested
+
+        for depth in (MAX_DEPTH, MAX_DEPTH + 1):
+            text = f"dim=2\nF1={nested(form, depth)}\nF2=-x\nS1=-x\nS2=y\nbox=-1,1,-1,1\n"
+            spec = write(tmp_path, "deep.spec", text)
+            result = main(["check", spec, "--kind", "reversibility"])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            if depth == MAX_DEPTH:
+                # a verdict, or a tower over the node budget
+                assert result in (0, 1, 3)
+                if result != 3:
+                    assert json.loads(captured.out)["exit_code"] == result
+            else:
+                assert result == 2 and captured.out == ""
+                assert captured.err.startswith("symflow: ") and captured.err.count("\n") == 1
+                assert f"nesting deeper than {MAX_DEPTH} at offset" in captured.err
+
     CHECK_FLOW = ["check", "--kind", "reversibility", "--flow"]
     CANDIDATES = ["candidates", "--kind", "reversibility", "--grid", "4x4"]
     WIDTH = ("-1e308,1e308", "interval [-1e+308, 1e+308] has a width that is not finite")

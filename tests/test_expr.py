@@ -371,6 +371,27 @@ class TestLongChains:
         assert to_string(swapped) == f"({text})*sin(x)"
         assert to_string(compose(fresh, [Var(1)])) == to_string(compose(s, [Var(1)])) == text
 
+    @pytest.mark.parametrize("grow, text", [
+        (lambda e: Binary("mul", e, Var(2)), f"x*y^{N}"),  # a product, left-deep
+        (lambda e: Unary("neg", e), "x"),
+        (lambda e: Binary("pow", Binary("div", Var(2), e), Const(-1)), f"x*y^(-{N})"),
+        (lambda e: Unary("sin", e), None),  # atoms inside atoms: its own canonical form
+    ], ids=["product", "neg", "div-pow", "sin"])
+    def test_deep_raw_trees_fold_without_recursion(self, grow, text):
+        from symflow.numeric import compile_scaled
+
+        e = Var(1)
+        for _ in range(self.N):
+            e = grow(e)
+        s = simplify(e)
+        if text is None:
+            assert s == e and hash(s) == hash(e)
+        else:
+            assert to_string(s) == text and hash(s) == hash(parse(text, 2))
+        (value,), _, ok = compile_scaled([s])(np.array([[0.5], [0.99]]))
+        # numpy's sin need not be libm's, so a value may differ by an ulp
+        assert ok[0] and value[0] == pytest.approx(evaluate(s, (0.5, 0.99)), rel=1e-12)
+
 
 def test_polynomial_terms():
     assert ex.polynomial_terms(p2("3*x^2*y - y + 1/2")) == {
@@ -424,7 +445,7 @@ def _nodes(e):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(ex._children(node))
+        stack.extend(ex._fields(node)[1:])  # the children
         for m in node._nf or ():
             stack.extend(bk[2] for bk, _ in m if bk[0] == "f")
 
@@ -618,6 +639,37 @@ class TestCalculusReadsOnlyTheNormalForm:
             assert _outcome(fn, e, arg) == _outcome(fn, s, arg)
 
 
+@st.composite
+def shared_exprs(draw):
+    """Raw trees of opaque_exprs pieces, some simplified first (so they
+    remember an NF), in which each piece and each subtree is shared."""
+    tree = None
+    for piece in draw(st.lists(opaque_exprs(max_leaves=5), min_size=1, max_size=3)):
+        if draw(st.booleans()):
+            simplified = _outcome(simplify, piece)
+            piece = piece if isinstance(simplified, tuple) else simplified
+        op = draw(st.sampled_from(["add", "sub", "mul", "div"]))
+        tree = piece if tree is None else Binary(op, Binary("sub", piece, tree), Binary("mul", tree, piece))
+    return tree
+
+
+class TestNormalFormFold:
+    """_to_nf folds over one explicit-stack walk; the recursive walk it
+    replaced is the reference."""
+
+    @given(shared_exprs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fold_matches_recursive_reference(self, e):
+        assert _outcome(ex._to_nf, e) == _outcome(cr._to_nf, e)
+
+    def test_remembered_normal_forms_are_not_changed(self):
+        s = simplify(p2("x^2 - y"))
+        nf = dict(s._nf)
+        e = Binary("add", Binary("add", s, s), Binary("sub", s, Var(1)))
+        assert ex._to_nf(e) == {((("v", 1), 2),): 3, ((("v", 2), 1),): -3, ((("v", 1), 1),): -1}
+        assert s._nf == nf
+
+
 class TestCachedKeys:
     @given(atom_exprs(), poly_exprs(max_leaves=5))
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -700,6 +752,34 @@ class TestLazyCanonicalTrees:
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_reads_match_the_eager_tree(self, e):
         self.check_all(e)
+
+
+class TestHashingBuildsNoTree:
+    """The hash of a canonical tree is read off its NF: a lazy sum, at the
+    top or as an atom's argument, stays unbuilt."""
+
+    SIGMA = TestLazyCanonicalTrees.SIGMA
+
+    def test_composed_atom_arguments(self, monkeypatch):
+        built = []
+        build = ex._nf_to_expr
+        monkeypatch.setattr(ex, "_nf_to_expr", lambda nf: built.append(nf) or build(nf))
+        r = compose(simplify(p2("sin(x - y)^2*x + y")), self.SIGMA)
+        hash(r)
+        assert built == []
+        assert to_string(r) == "-2/3*y*sin(x^2 - 3/2*x - 2/3*y)^2 - x^2 + 3/2*x"
+
+    @given(st.one_of(poly_exprs(), atom_exprs()))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_hash_is_the_eager_trees(self, e):
+        s = _simplified(e)
+        for r in (s, _outcome(differentiate, s, 1), _outcome(compose, s, self.SIGMA),
+                  _outcome(ex.derivative_along, s, self.SIGMA)):
+            if isinstance(r, tuple) or r._nf is None:  # an ExprError, or a constant
+                continue
+            sums = _lazy_sums(r)
+            assert hash(r) == dataclass_hash(_built(r, {}))
+            assert all(_is_lazy(t) for t in sums)
 
 
 def _built(e, memo):

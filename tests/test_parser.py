@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symflow.expr import Binary, Const, Unary, Var
-from symflow.parser import ParseError, parse
+from symflow.parser import MAX_DEPTH, ParseError, parse
 
 
 def test_simple_sum_shape():
@@ -111,3 +111,28 @@ def test_bad_character_position():
     with pytest.raises(ParseError) as err:
         parse("x + $", 2)
     assert err.value.position == 4
+
+
+def nested(form, depth):
+    """x under `depth` levels of one kind of nesting."""
+    return {
+        "paren": "(" * depth + "x" + ")" * depth,
+        "call": "sin(" * depth + "x" + ")" * depth,
+        "neg": "-" * depth + "x",
+        "power": "x" + "^1" * depth,
+    }[form]
+
+
+@pytest.mark.parametrize("form", ["paren", "call", "neg", "power"])
+def test_nesting_depth_is_bounded(form):
+    # each level recurses through the parser, so past the bound the input
+    # would meet the recursion limit instead of a ParseError
+    parse(nested(form, MAX_DEPTH), 1)
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH} at offset"):
+        parse(nested(form, MAX_DEPTH + 1), 1)
+
+
+def test_nesting_depth_counts_every_kind_together():
+    parse("-(" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2), 1)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse("-(" * (MAX_DEPTH // 2) + "-x" + ")" * (MAX_DEPTH // 2), 1)
