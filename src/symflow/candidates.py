@@ -23,7 +23,7 @@ import numpy as np
 from . import expr as ex
 from .checks import check_structural
 from .expr import Expression, identically_zero, to_string
-from .fields import SmoothMap, VectorField, is_involution, is_measure_preserving
+from .fields import SmoothMap, VectorField, det_kernel, is_involution, is_measure_preserving
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, newton_batch, row_norms
 from .parser import parse
@@ -74,12 +74,10 @@ class _DeltaSolver:
 
     def singular(self, Z: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
         """Per point of Z (m, n): is |det J_Delta| below tol (1 + max |J|)?"""
-        m, n = Z.shape
         with np.errstate(all="ignore"):
-            J = self.jac(Z.T).T.reshape(m, n, n)
-            det = np.linalg.det(J)
-        scale = 1.0 + np.abs(J).max(axis=(-2, -1))
-        return np.abs(det) < tol * scale
+            J = self.jac(Z.T)
+            det = det_kernel(Z.shape[1])(J)[0]
+        return np.abs(det) < tol * (1.0 + np.abs(J).max(axis=0))
 
     def solve(self, Z: np.ndarray, seeds: np.ndarray, newton_tol: float = NEWTON_TOL) -> List[List[DeltaRoot]]:
         """Per point z of Z (m, n), the roots of Delta(w) = S Delta(z) that
@@ -102,7 +100,6 @@ class _DeltaSolver:
             targets = np.repeat(self.signs * self.fn(Z.T).T, k, axis=0)
         W, ok, r = newton_batch(self.fn, self.jac, starts.reshape(m * k, n), targets,
                                 tol=newton_tol, max_iter=NEWTON_MAX_ITER)
-        ok &= r < newton_tol
         W, ok, r = W.reshape(m, k, n), ok.reshape(m, k), r.reshape(m, k)
         radius = max(TRIVIAL_TOL, newton_tol)
         trivial = row_norms(W - Z[:, None, :]) < radius

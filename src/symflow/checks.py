@@ -25,11 +25,11 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, identically_zero, sampled_law_verdict
-from .fields import JacobianMatrix, SmoothMap, VectorField, jacobian
+from .fields import JacobianMatrix, SmoothMap, VectorField, det_kernel, jacobian
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, compile_scaled, newton_batch
 from .tower import DivergenceTower, Selection, build_tower, delta_map
-from .verdict import Certainty, CheckKind, Status, Verdict, combine, threshold_verdict
+from .verdict import CheckKind, Verdict, combine, exact_value_verdict, threshold_verdict
 
 FIXED_POINT_TOL = 1e-8
 FIXED_VALUE_TOL = 1e-10
@@ -275,7 +275,7 @@ def fixed_points(
     )
     X, ok, r = newton_batch(fn, jac_fn, box.grid(seeds_per_axis), tol=FIXED_POINT_TOL, max_iter=60)
     pts: List[Point] = []
-    for x in X[ok & (r < FIXED_POINT_TOL)]:
+    for x in X[ok]:
         if not box.contains(x, slack=1e-9):
             continue
         if any(np.linalg.norm(x - np.asarray(q)) < 1e-6 for q in pts):
@@ -315,31 +315,7 @@ def check_fixed_points_even_orders(
             dk = tower.orders[k]
             if not fs.basis:
                 value = ex.evaluate_exact(dk, fs.particular)
-                p = as_point(fs.particular)
-                if value == 0:
-                    parts.append(
-                        Verdict(Status.HOLDS, Certainty.CERTAIN, 0.0, (), f"order {k}: exact zero at fixed point")
-                    )
-                elif abs(float(value)) < value_tol:
-                    parts.append(
-                        Verdict(
-                            Status.HOLDS,
-                            Certainty.PROBABILISTIC,
-                            abs(float(value)),
-                            (),
-                            f"order {k}: |value| below tolerance at fixed point",
-                        )
-                    )
-                else:
-                    parts.append(
-                        Verdict(
-                            Status.FAILS,
-                            Certainty.CERTAIN,
-                            abs(float(value)),
-                            ((p, abs(float(value))),),
-                            f"order {k}: value {float(value):.6g} at fixed point {p}",
-                        )
-                    )
+                parts.append(exact_value_verdict(value, fs.particular, value_tol, f"D_{k}{as_point(fs.particular)}"))
                 continue
             # restrict D^(k) to the affine fixed set and test identically
             maps = []
@@ -460,62 +436,33 @@ def check_delta_noninvertibility(
         tuple(ex.differentiate(delta.components[i], j + 1) for j in range(n))
         for i in range(n)
     )
-    J = JacobianMatrix(entries)
     assumption = "assumes sigma is non-trivial in every neighbourhood of z0"
-
-    # the symbolic determinant is built only where it is evaluated exactly
-    exact_possible = n <= 4 and F.is_polynomial() and all(
-        isinstance(c, (int, Fraction)) for c in z0
-    )
 
     jac_fn = compile_components([e for row in entries for e in row])
     with np.errstate(all="ignore"):
-        Jnum = jac_fn(np.array([float(c) for c in z0])).reshape(n, n)
-    minors = _minor_magnitudes(Jnum)
-    scale = 1.0 + max(minors)
-    threshold = tol_rel * scale
+        Jnum = jac_fn(np.array([float(c) for c in z0]))
+    threshold = tol_rel * (1.0 + _largest_minor(Jnum.reshape(n, n)))
     p = as_point([float(c) for c in z0])
 
-    if exact_possible:
-        value = ex.evaluate_exact(J.det(), [Fraction(c) for c in z0])
-        mag = abs(float(value))
-        if value == 0:
-            return Verdict(
-                Status.HOLDS,
-                Certainty.CERTAIN,
-                0.0,
-                (),
-                f"det J_Delta(z0) = 0 exactly; {assumption}",
-            )
-        if mag < threshold:
-            return Verdict(
-                Status.HOLDS,
-                Certainty.PROBABILISTIC,
-                mag,
-                (),
-                f"|det J_Delta(z0)| = {mag:.3g} below threshold {threshold:.3g}; {assumption}",
-            )
-        return Verdict(
-            Status.FAILS,
-            Certainty.CERTAIN,
-            mag,
-            ((p, mag),),
-            f"det J_Delta(z0) = {float(value):.6g} (threshold {threshold:.3g}); {assumption}",
-        )
+    # the symbolic determinant is built only where it is evaluated exactly
+    if F.is_polynomial() and all(isinstance(c, (int, Fraction)) for c in z0):
+        value = ex.evaluate_exact(JacobianMatrix(entries).det(), [Fraction(c) for c in z0])
+        v = exact_value_verdict(value, p, threshold, "det J_Delta(z0)")
+        return v.with_notes(f"{v.notes}; {assumption}")
 
-    det_val = abs(float(np.linalg.det(Jnum)))
+    with np.errstate(all="ignore"):
+        det_val = abs(float(det_kernel(n)(Jnum)[0]))
     return threshold_verdict(
         [det_val], [p], threshold, f"|det J_Delta(z0)| = {det_val:.3g} (threshold {threshold:.3g}); {assumption}"
     )
 
 
-def _minor_magnitudes(J: np.ndarray) -> list:
-    n = J.shape[0]
+def _largest_minor(J: np.ndarray) -> float:
+    """The largest |det| of the n^2 minors of J (n, n) that drop one row and
+    one column; 1 for n = 1."""
+    n = len(J)
     if n == 1:
-        return [1.0]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(J, i, axis=0), j, axis=1)
-            out.append(abs(float(np.linalg.det(minor))) if minor.size else 1.0)
-    return out
+        return 1.0
+    minors = [np.delete(np.delete(J, i, axis=0), j, axis=1).ravel() for i in range(n) for j in range(n)]
+    with np.errstate(all="ignore"):
+        return max(abs(float(d)) for d in det_kernel(n - 1)(np.array(minors).T)[0])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -13,7 +14,7 @@ from . import expr as ex
 from .expr import Expression, identically_zero, to_string
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, newton_batch, row_norms, solve_rows
-from .verdict import Verdict, combine, threshold_verdict
+from .verdict import Verdict, combine
 
 logger = logging.getLogger(__name__)
 
@@ -102,12 +103,8 @@ class JacobianMatrix:
         return len(self.entries)
 
     def det(self) -> Expression:
-        """Symbolic determinant by cofactor expansion; meant for n <= 4."""
-        n = self.dimension
-        if n > 4:
-            raise ValueError("symbolic determinants are limited to n <= 4")
-        rows = [list(r) for r in self.entries]
-        return ex.simplify(_cofactor_det(rows))
+        """The determinant, in canonical form, in any dimension (`_det_nf`)."""
+        return ex._canonical(_det_nf([[ex._to_nf(e) for e in row] for row in self.entries]))
 
     def times_vector(self, vector: Sequence[Expression]) -> Tuple[Expression, ...]:
         n = self.dimension
@@ -120,16 +117,58 @@ class JacobianMatrix:
         return tuple(out)
 
 
-def _cofactor_det(rows) -> Expression:
+def _det_nf(rows: list) -> dict:
+    """The NF of the determinant of a square matrix of NFs, by Laplace
+    expansion along the first row.  The minor that rows r.. leave over the
+    columns outside `used` (a bit set of r columns) is the alternating sum,
+    over those columns j in order, of rows[r][j] times the minor of `used |
+    1 << j`; a zero entry is skipped.  So a minor depends only on its column
+    set: each is built once, from the last row up, and only if a chain of
+    nonzero entries reaches it.  The minors and then the terms they hold
+    count against the tower's NODE_BUDGET, read at call time; past it,
+    TowerBudgetError."""
+    from .tower import NODE_BUDGET, TowerBudgetError  # tower imports this module
+
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc: Expression
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = ex.mul(rows[0][j], _cofactor_det(minor))
-        acc = term if j == 0 else ex.add(acc, term) if j % 2 == 0 else ex.sub(acc, term)
-    return acc
+    over = f"the minors of the {n} x {n} determinant exceed the node budget ({NODE_BUDGET})"
+    levels = [[0]]  # levels[r]: the column sets of the minors of rows r.. reached
+    size = 1
+    for row in rows[:-1]:
+        reached: dict = {}  # ordered, so the work is the same on every run
+        for used in levels[-1]:
+            for j, a in enumerate(row):
+                if a and not used >> j & 1:
+                    reached[used | 1 << j] = None
+            if size + len(reached) > NODE_BUDGET:
+                raise TowerBudgetError(over)
+        size += len(reached)
+        levels.append(list(reached))
+    minors = {(1 << n) - 1: ex._nf_const(1)}
+    for r in range(n - 1, -1, -1):
+        for used in levels[r]:
+            acc: dict = {}
+            sign = 1
+            for j, a in enumerate(rows[r]):
+                if used >> j & 1:
+                    continue
+                if a:
+                    ex._nf_addmul(acc, a if sign > 0 else ex._nf_scale(a, -1), minors[used | 1 << j])
+                sign = -sign
+            size += len(acc)
+            if size > NODE_BUDGET:
+                raise TowerBudgetError(over)
+            minors[used] = acc
+    return minors[0]
+
+
+@lru_cache(maxsize=8)
+def det_kernel(n: int):
+    """The kernel of the n x n determinant (`_det_nf`) over the
+    columns Z[i n + j] = J_ij (row-major): elementwise products and sums,
+    so a row of a batch has the bits of its matrix alone on every host,
+    where a LAPACK LU determinant rounds as the BLAS build does."""
+    rows = [[ex._to_nf(ex.Var(i * n + j + 1)) for j in range(n)] for i in range(n)]
+    return compile_components([ex._canonical(_det_nf(rows))])
 
 
 def jacobian(m) -> JacobianMatrix:
@@ -174,22 +213,12 @@ def is_involution(m: SmoothMap, box: Optional[DomainBox] = None, trials: int = 2
 def is_measure_preserving(
     m: SmoothMap, box: Optional[DomainBox] = None, trials: int = 200, rng=None
 ) -> Verdict:
-    """Volume preservation via |det J| = 1, tested as (det J)^2 - 1 = 0."""
+    """Volume preservation via |det J| = 1, tested as (det J)^2 - 1 = 0 on
+    the canonical form of det J, in every dimension."""
     box = box or m.domain
-    n = m.dimension
-    if n <= 4:
-        d = jacobian(m).det()
-        residual = ex.sub(ex.mul(d, d), ex.ONE)
-        v = identically_zero(residual, box, trials, rng=rng)
-        return v.with_notes(f"det J = {to_string(d)}; {v.notes}")
-    # high dimension: sample |det|^2 - 1 numerically via LU
-    rng = rng if rng is not None else np.random.default_rng(0)
-    jac_fn = compile_components([e for row in jacobian(m).entries for e in row])
-    pts = box.sample(rng, trials)
-    with np.errstate(all="ignore"):
-        dets = np.linalg.det(jac_fn(pts.T).T.reshape(trials, n, n))
-        residuals = np.abs(dets * dets - 1.0)
-    return threshold_verdict(residuals, pts, 1e-9, "sampled determinant")
+    d = jacobian(m).det()
+    v = identically_zero(ex.sub(ex.mul(d, d), ex.ONE), box, trials, rng=rng)
+    return v.with_notes(f"det J = {to_string(d)}; {v.notes}")
 
 
 def find_critical_points(
@@ -210,7 +239,6 @@ def find_critical_points(
     seeds = F.domain.grid(seeds_per_axis)
     blob_radius = 1e-2 * float(np.linalg.norm(F.domain.highs - F.domain.lows))
     X, ok, r = newton_batch(f, jac_fn, seeds, tol=residual_tol, max_iter=NEWTON_MAX_ITER)
-    ok &= r < residual_tol
     roots: list = []
     for x in _polish_roots(f, jac_fn, X[ok]):
         if not F.domain.contains(x, slack=1e-9):

@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import Var
-from .fields import SmoothMap, VectorField, _cofactor_det, divergence, jacobian
+from .fields import SmoothMap, VectorField, det_kernel, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, rk4_march, rk4_path, rk4_variational
 from .verdict import CheckKind, Verdict, threshold_verdict
@@ -170,13 +168,6 @@ def check_flow_relation(
     return threshold_verdict(diffs, Z[good], tol, notes)
 
 
-@lru_cache(maxsize=8)
-def _det_kernel(n: int):
-    """The kernel of the n x n determinant over columns Z[i n + j] = J_ij
-    (row-major), by the cofactor expansion `fields._cofactor_det`."""
-    return compile_components([_cofactor_det([[Var(i * n + j + 1) for j in range(n)] for i in range(n)])])
-
-
 def check_liouville(
     F: VectorField,
     region: DomainBox,
@@ -191,13 +182,12 @@ def check_liouville(
     The left side integrates the variational equation dJ/dt = J_F J along
     the flow to +-t and central-differences the Monte-Carlo volume
     sum(det J)/N * vol; the right side averages div F over the same sample.
-    det J is one compiled kernel of the cofactor expansion (`_det_kernel`),
+    det J is one compiled kernel of the determinant (`fields.det_kernel`),
     run on the rows of J in the marched state: elementwise products and
-    sums, so the same bits on every host, where a LAPACK LU determinant
-    rounds as the BLAS build does.  A point escapes when its final state
-    leaves the inflated domain, whose bounds are finite, so a nan or
-    infinite state escapes too.  Escape shrinks the region about its
-    center once, then gives up.
+    sums, so the same bits on every host.  A point escapes when its final
+    state leaves the inflated domain, whose bounds are finite, so a nan or
+    infinite state escapes too.  Escape shrinks the region about its center
+    once, then gives up.
     """
     # the comparison is false for nan
     if not t_max > 0:
@@ -208,7 +198,7 @@ def check_liouville(
     n = F.dimension
     jac_rows = jacobian(F).entries
     div_fn = compile_components([divergence(F)])
-    det_fn = _det_kernel(n)
+    det_fn = det_kernel(n)
     guard = F.domain.inflate(ESCAPE_INFLATION)
     lo, hi = guard.lows[:, None], guard.highs[:, None]
     dt = min(_SLOPE_DT, t_max)

@@ -10,6 +10,7 @@ symmetries and reversibilities drives the structure checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -175,8 +176,9 @@ def tower_fd_oracle(F: VectorField, z: Sequence[float], order: int, h: float = O
     """
     if not 0 <= order <= 4:
         raise ValueError("oracle supports orders 0..4")
-    if h <= 0:
-        raise ValueError("step must be positive")
+    # the comparisons are false for nan
+    if not 0 < h < math.inf:
+        raise ValueError("step must be positive and finite")
     if int_power(h, max(order, 1)) == 0.0:
         raise ValueError("stencil underflow: step too small")
     div_fn, f, lo, hi = _oracle_kernels(F)

@@ -130,6 +130,21 @@ def threshold_verdict(residuals, points, tol: float, notes: str) -> Verdict:
     return Verdict(Status.FAILS, Certainty.PROBABILISTIC, worst, top_witnesses(points, r, finite & (r >= tol)), notes)
 
 
+def exact_value_verdict(value, point, tol: float, label: str) -> Verdict:
+    """The verdict that label, a value computed exactly at point, vanishes:
+    certain when it is exactly 0, probabilistic when it is nonzero but below
+    tol in magnitude, and a certain failure otherwise, with point as its
+    witness."""
+    mag = abs(float(value))
+    if value == 0:
+        return Verdict(Status.HOLDS, Certainty.CERTAIN, 0.0, (), f"{label} = 0 exactly")
+    if mag < tol:
+        return Verdict(Status.HOLDS, Certainty.PROBABILISTIC, mag, (),
+                       f"|{label}| = {mag:.3g} below threshold {tol:.3g}")
+    return Verdict(Status.FAILS, Certainty.CERTAIN, mag, ((as_point(point), mag),),
+                   f"{label} = {float(value):.6g} (threshold {tol:.3g})")
+
+
 def combine(parts: Sequence[Verdict], notes: str = "") -> Verdict:
     """Aggregate component verdicts: any failure is decisive, any remaining
     inconclusive part blocks a holds, certainty survives only if unanimous."""

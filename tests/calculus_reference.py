@@ -7,11 +7,17 @@ walk that the core replaced:
   (`expr.differentiate`, `expr.compose`, `expr.derivative_along`);
 - `_to_nf` is the normal form of a tree by recursion on its nodes (add and
   sub chains in a loop, `_sum_chain`), the reference for `expr._to_nf`,
-  which folds over one explicit-stack walk."""
+  which folds over one explicit-stack walk;
+- `_cofactor_det` is the determinant of a matrix of trees by cofactor
+  expansion along the first row, recursing on each minor without sharing
+  them; `simplify` of its result is the reference for
+  `JacobianMatrix.det`, and its kernel over n^2 variables the reference
+  for `fields.det_kernel`."""
 
 from fractions import Fraction
 from typing import Sequence
 
+from symflow import expr as ex
 from symflow.expr import (
     ONE,
     ZERO,
@@ -127,3 +133,15 @@ def _subst(e: Expression, maps: Sequence[Expression]) -> Expression:
         return out
     return Binary(e.op, _subst(e.left, maps), _subst(e.right, maps))
 
+
+
+def _cofactor_det(rows) -> Expression:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc: Expression
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = ex.mul(rows[0][j], _cofactor_det(minor))
+        acc = term if j == 0 else ex.add(acc, term) if j % 2 == 0 else ex.sub(acc, term)
+    return acc

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -344,6 +345,19 @@ class TestCleanExit:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("symflow: ") and "budget" in err
+
+    def test_dense_determinant_over_budget_is_inconclusive(self, tmp_path, capsys):
+        # a dense constant sigma in 18 dimensions: 2^18 minors
+        n = 18
+        lines = [f"dim={n}"] + [f"F{i}=z{i % n + 1}" for i in range(1, n + 1)]
+        lines += [f"S{i}=" + " + ".join(f"{1 + (i * j) % 7}*z{j}" for j in range(1, n + 1))
+                  for i in range(1, n + 1)]
+        spec = write(tmp_path, "dense.spec", "\n".join(lines) + "\n")
+        start = time.perf_counter()
+        assert main(["check", spec, "--kind", "symmetry"]) == 3
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err == "symflow: the minors of the 18 x 18 determinant exceed the node budget (100000)\n"
 
     def test_law_orders_over_budget_are_inconclusive(self, tmp_path, capsys, monkeypatch):
         # orders 0 and 1 of this field fit in 15 nodes; the table also

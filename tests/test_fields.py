@@ -1,15 +1,20 @@
 """Fields, maps, Jacobians, divergence, Lie derivatives, critical points."""
 
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from symflow.expr import Const, evaluate, simplify, to_string
+import symflow.tower
+from symflow import expr as ex
+from symflow.expr import Const, Var, evaluate, simplify, to_string
 from symflow.fields import (
+    JacobianMatrix,
     SmoothMap,
     VectorField,
+    det_kernel,
     divergence,
     find_critical_points,
     identity_map,
@@ -20,9 +25,12 @@ from symflow.fields import (
 )
 from symflow.candidates import lotka_volterra_field
 from symflow.geometry import DomainBox
+from symflow.numeric import compile_components
 from symflow.parser import parse
+from symflow.tower import TowerBudgetError
 from symflow.verdict import Certainty, Status
 
+import calculus_reference as cr
 from conftest import p2, poly_exprs
 from newton_reference import polish_root
 
@@ -59,6 +67,74 @@ class TestJacobian:
     def test_det_cofactor(self):
         J = jacobian(map2("2*y/3", "3*x/2"))
         assert J.det() == Const(-1)
+
+
+def random_entry(rng, n):
+    """A random entry text in n variables: 0 a quarter of the time, else a
+    sum of one to three monomials with rational coefficients, now and then
+    times an atom or an opaque square root."""
+    if rng.random() < 0.25:
+        return "0"
+    terms = []
+    for _ in range(rng.integers(1, 4)):
+        factors = [f"{rng.integers(-3, 4) or 1}/{rng.integers(1, 4)}"]
+        factors += [f"z{rng.integers(1, n + 1)}" for _ in range(rng.integers(0, 3))]
+        terms.append("*".join(factors))
+    text = " + ".join(terms)
+    extra = rng.random()
+    if extra < 0.1:
+        return f"({text})*sin(z{rng.integers(1, n + 1)})"
+    if extra < 0.2:
+        return f"({text})*sqrt(1 + z{rng.integers(1, n + 1)}^2)"
+    return text
+
+
+class TestDeterminant:
+    def test_prints_the_cofactor_expansion_up_to_four_dimensions(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            rows = [[parse(random_entry(rng, n), n) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                rows = [[simplify(e) for e in row] for row in rows]
+            want = to_string(simplify(cr._cofactor_det([list(r) for r in rows])))
+            assert to_string(JacobianMatrix(tuple(map(tuple, rows))).det()) == want
+
+    def test_kernel_of_two_dimensions_is_the_cofactor_kernel(self):
+        rows = [[Var(1), Var(2)], [Var(3), Var(4)]]
+        assert det_kernel(2).source == compile_components([cr._cofactor_det(rows)]).source
+
+    def test_zero_entries_are_skipped(self, monkeypatch):
+        # a diagonal matrix reaches one minor per row and multiplies no zero
+        calls = []
+        addmul = ex._nf_addmul
+        monkeypatch.setattr(ex, "_nf_addmul", lambda *a: calls.append(1) or addmul(*a))
+        n = 40
+        rows = tuple(tuple(Var(i + 1) if i == j else Const(0) for j in range(n)) for i in range(n))
+        assert to_string(JacobianMatrix(rows).det()) == "*".join(to_string(Var(i + 1)) for i in range(n))
+        assert len(calls) == n
+
+    def test_budget_is_read_at_call_time(self, monkeypatch):
+        # the 3 x 3 determinant over 9 variables counts 1 + 3 + 3 minors, then
+        # 3 terms of order 1, 3*2 of order 2 and 6 of order 3: 22 in all
+        rows = tuple(tuple(Var(3 * i + j + 1) for j in range(3)) for i in range(3))
+        monkeypatch.setattr(symflow.tower, "NODE_BUDGET", 21)
+        with pytest.raises(TowerBudgetError, match=r"3 x 3 determinant exceed the node budget \(21\)"):
+            JacobianMatrix(rows).det()
+        monkeypatch.setattr(symflow.tower, "NODE_BUDGET", 22)
+        assert len(ex._to_nf(JacobianMatrix(rows).det())) == 6
+
+    def test_dense_constant_map_in_18_dimensions_is_over_budget(self):
+        # 2^18 column sets of minors: the count stops the expansion before
+        # any product is taken
+        n = 18
+        comps = [parse(" + ".join(f"{1 + (i * j) % 7}*z{j}" for j in range(1, n + 1)), n)
+                 for i in range(1, n + 1)]
+        m = SmoothMap(comps, DomainBox.cube(-1, 1, n))
+        start = time.perf_counter()
+        with pytest.raises(TowerBudgetError, match="18 x 18 determinant"):
+            is_measure_preserving(m)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestDivergence:
@@ -163,14 +239,15 @@ class TestMeasurePreserving:
 
     def test_high_dimension_triangular_shear(self):
         # shears (adding functions of earlier coordinates) preserve volume;
-        # dimensions above four go through the sampled determinant path
+        # det J is decided on its canonical form in every dimension
         comps = [parse("z1", 5)]
         for i in range(2, 6):
             comps.append(parse(f"z{i} + z{i-1}^2", 5))
         shear = SmoothMap(comps, DomainBox.cube(-1, 1, 5))
         v = is_measure_preserving(shear)
         assert v.status is Status.HOLDS
-        assert v.certainty is Certainty.PROBABILISTIC
+        assert v.certainty is Certainty.CERTAIN
+        assert v.notes == "det J = 1; zero polynomial"
 
     def test_high_dimension_overflow_is_skipped_without_warning(self):
         # det J = exp(exp(exp(z1)) + exp(z1) + z1), whose square overflows
@@ -180,9 +257,23 @@ class TestMeasurePreserving:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             v = is_measure_preserving(SmoothMap(comps, DomainBox.cube(-3, 3, 5)))
-        assert v.status is Status.FAILS and np.isfinite(v.residual_max)
-        assert len(v.witnesses) == 3
-        assert v.notes.startswith("sampled determinant, ") and v.notes.endswith(" evaluation errors skipped")
+        assert v.status is Status.FAILS and v.certainty is Certainty.PROBABILISTIC
+        assert np.isfinite(v.residual_max) and v.witnesses
+        assert v.notes.startswith("det J = exp(exp(exp(x)))*exp(exp(x))*exp(x); sampled ")
+        assert v.notes.endswith(" evaluation errors skipped")
+
+    @pytest.mark.parametrize("fourth, involution", [("z4 + z5^2", False), ("z4 + z5^3", True)])
+    def test_five_dimensional_polynomial_maps_are_certain(self, fourth, involution):
+        # with z4 + z5^2 the fourth component of sigma(sigma(z)) is
+        # z4 + 2 z5^2, so only the odd power makes an involution
+        comps = [parse(t, 5) for t in ("z2", "z1", "-z3", fourth, "-z5")]
+        sigma = SmoothMap(comps, DomainBox.cube(-1, 1, 5))
+        v = is_measure_preserving(sigma)
+        assert (v.status, v.certainty) == (Status.HOLDS, Certainty.CERTAIN)
+        assert v.notes == "det J = -1; zero polynomial"
+        v = is_involution(sigma)
+        assert v.status is (Status.HOLDS if involution else Status.FAILS)
+        assert v.certainty is Certainty.CERTAIN
 
     def test_high_dimension_dilation_fails(self):
         comps = [parse("2*z1", 5)] + [parse(f"z{i}", 5) for i in range(2, 6)]

@@ -5,10 +5,9 @@ import pytest
 
 from symflow.candidates import lotka_volterra_field
 from symflow import flow
-from symflow.fields import SmoothMap, VectorField
+from symflow.fields import SmoothMap, VectorField, det_kernel
 from symflow.flow import (
     IntegratorConfig,
-    _det_kernel,
     check_flow_relation,
     check_liouville,
     integrate,
@@ -268,13 +267,13 @@ class TestDeterminantKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_lapack_to_a_few_ulps(self, n):
         A = np.eye(n) + np.random.default_rng(n).uniform(-0.3, 0.3, (500, n, n))
-        d = _det_kernel(n)(det_columns(A))[0]
+        d = det_kernel(n)(det_columns(A))[0]
         ref = np.linalg.det(A)
         assert np.all(np.abs(d - ref) <= 8 * np.finfo(float).eps * np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_is_exactly_one(self, n):
-        assert _det_kernel(n)(det_columns(np.eye(n)))[0] == 1.0
+        assert det_kernel(n)(det_columns(np.eye(n)))[0] == 1.0
 
     @pytest.mark.parametrize("rows", [
         [[2, 4], [1, 2]],
@@ -284,11 +283,11 @@ class TestDeterminantKernel:
     def test_integer_singular_matrix_is_exactly_zero(self, rows):
         A = np.array(rows, dtype=float)
         assert np.linalg.matrix_rank(A) < len(A)
-        assert _det_kernel(len(A))(det_columns(A))[0] == 0.0
+        assert det_kernel(len(A))(det_columns(A))[0] == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_batch_row_has_the_bits_of_the_matrix_alone(self, n):
         A = np.random.default_rng(10 + n).uniform(-2, 2, (40, n, n))
-        batch = _det_kernel(n)(det_columns(A))[0]
-        alone = [_det_kernel(n)(det_columns(a))[0] for a in A]
+        batch = det_kernel(n)(det_columns(A))[0]
+        alone = [det_kernel(n)(det_columns(a))[0] for a in A]
         assert np.array_equal(batch, alone)

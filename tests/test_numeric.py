@@ -493,8 +493,11 @@ class TestNewtonBatch:
         rng = np.random.default_rng(seed)
         seeds = rng.uniform(-2, 2, (12, n))
         target = rng.uniform(-1, 1, (12, n)) if with_target else None
-        assert_same_rows(newton_batch(f, jac, seeds, target, tol=1e-10, max_iter=40),
-                         newton_rows(f, jac, seeds, target, tol=1e-10, max_iter=40))
+        got = newton_batch(f, jac, seeds, target, tol=1e-10, max_iter=40)
+        assert_same_rows(got, newton_rows(f, jac, seeds, target, tol=1e-10, max_iter=40))
+        # a converged row's residual is below tol, so callers need not test it again
+        x, ok, r = got
+        assert (r[ok] < 1e-10).all()
 
     def test_non_finite_start(self):
         f, jac = kernels([parse("log(x) - 1", 1)], [[parse("1/x", 1)]])

@@ -6,6 +6,7 @@ form either side prints.  Polynomial data, sums of polynomial times
 sin/cos/exp/log of a polynomial, and sums of quotients by (and powers of)
 nonconstant polynomials are checked; SymPy orients sin(-u) and
 cos(-u) itself, and expands function arguments, so the two sides meet.
+Determinants of polynomial Jacobians are checked up to six dimensions.
 Two tests are numeric: a rational tower must take SymPy's values at fixed
 points, and SymPy evaluates the tower law at the witnesses of a sampled
 check and must give the residuals the check reports.
@@ -18,18 +19,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from symflow.checks import tower_order_verdicts  # noqa: E402
 from symflow.expr import (  # noqa: E402
     Binary, Const, ExprError, Unary, Var, compose, differentiate, evaluate, node_count, simplify, to_string,
 )
-from symflow.fields import SmoothMap, VectorField  # noqa: E402
+from symflow.fields import SmoothMap, VectorField, jacobian  # noqa: E402
 from symflow.geometry import DomainBox  # noqa: E402
 from symflow.parser import parse  # noqa: E402
 from symflow.tower import build_tower  # noqa: E402
 from symflow.verdict import CheckKind, Status  # noqa: E402
 
-SYMBOLS = sympy.symbols("z1:5")
+SYMBOLS = sympy.symbols("z1:7")
 
 _nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(lambda q: q != 0)
 
@@ -165,6 +167,36 @@ def test_build_tower(data):
     for j in range(order + 1):
         assert same(to_sympy(tower.orders[j]), want), f"order {j}"
         want = sympy.expand(sum(sympy.diff(want, z[i]) * F[i] for i in range(n)))
+
+
+def sparse_polys(n):
+    """Sums of one to three monomials, each a coefficient times up to two
+    powers 1 or 2 of variables, in n variables."""
+    power = st.builds(lambda i, k: Binary("pow", Var(i), Const(k)), st.integers(1, n), st.integers(1, 2))
+    monomial = st.builds(lambda c, ps: _product([Const(c)] + ps), _nonzero, st.lists(power, max_size=2))
+    return st.lists(monomial, min_size=1, max_size=3).map(_sum)
+
+
+def _product(trees):
+    acc = trees[0]
+    for t in trees[1:]:
+        acc = Binary("mul", acc, t)
+    return acc
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@given(st.data())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_jacobian_determinant(n, data):
+    # z_i z_(i+1) in component i fills the diagonal and the cyclic
+    # superdiagonal, so no determinant is trivially constant
+    comps = [Binary("add", Binary("mul", Var(i + 1), Var((i + 1) % n + 1)), data.draw(sparse_polys(n)))
+             for i in range(n)]
+    det = jacobian(SmoothMap(comps, DomainBox.cube(-1.0, 1.0, n))).det()
+    # SymPy's determinant over its polynomial ring; Matrix.det on the
+    # expressions takes seconds per example at n = 5 and 6
+    M = DomainMatrix.from_Matrix(sympy.Matrix([to_sympy(c) for c in comps]).jacobian(SYMBOLS[:n]))
+    assert same(to_sympy(det), M.domain.to_sympy(M.det()))
 
 
 # --- transcendental data: atoms in the normal form ---------------------------

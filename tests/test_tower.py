@@ -193,8 +193,9 @@ class TestOracle:
         F = field2("x^2", "y^2")
         with pytest.raises(ValueError):
             tower_fd_oracle(F, (0.1, 0.1), 5)
-        with pytest.raises(ValueError):
-            tower_fd_oracle(F, (0.1, 0.1), 1, h=0.0)
+        for h in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                tower_fd_oracle(F, (0.1, 0.1), 1, h=h)
 
     def test_trajectory_escape(self):
         from symflow.tower import TrajectoryEscape
