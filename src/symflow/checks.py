@@ -444,9 +444,11 @@ def check_delta_noninvertibility(
     threshold = tol_rel * (1.0 + _largest_minor(Jnum.reshape(n, n)))
     p = as_point([float(c) for c in z0])
 
-    # the symbolic determinant is built only where it is evaluated exactly
+    # a polynomial determinant commutes with evaluation, so only values are expanded
     if F.is_polynomial() and all(isinstance(c, (int, Fraction)) for c in z0):
-        value = ex.evaluate_exact(JacobianMatrix(entries).det(), [Fraction(c) for c in z0])
+        q = [Fraction(c) for c in z0]
+        at_z0 = tuple(tuple(ex.const(ex.evaluate_exact(e, q)) for e in row) for row in entries)
+        value = JacobianMatrix(at_z0).det().value
         v = exact_value_verdict(value, p, threshold, "det J_Delta(z0)")
         return v.with_notes(f"{v.notes}; {assumption}")
 

@@ -14,7 +14,7 @@ from . import expr as ex
 from .expr import Expression, identically_zero, to_string
 from .geometry import DomainBox, Point, as_point
 from .numeric import compile_components, newton_batch, row_norms, solve_rows
-from .verdict import Verdict, combine
+from .verdict import Certainty, Status, Verdict, combine
 
 logger = logging.getLogger(__name__)
 
@@ -103,8 +103,9 @@ class JacobianMatrix:
         return len(self.entries)
 
     def det(self) -> Expression:
-        """The determinant, in canonical form, in any dimension (`_det_nf`)."""
-        return ex._canonical(_det_nf([[ex._to_nf(e) for e in row] for row in self.entries]))
+        """The canonical determinant in any dimension (`_laplace` on NFs)."""
+        rows = [[ex._to_nf(e) for e in row] for row in self.entries]
+        return ex._canonical(_laplace(rows, dict, ex._nf_const(1), _nf_join, len))
 
     def times_vector(self, vector: Sequence[Expression]) -> Tuple[Expression, ...]:
         n = self.dimension
@@ -117,58 +118,66 @@ class JacobianMatrix:
         return tuple(out)
 
 
-def _det_nf(rows: list) -> dict:
-    """The NF of the determinant of a square matrix of NFs, by Laplace
-    expansion along the first row.  The minor that rows r.. leave over the
-    columns outside `used` (a bit set of r columns) is the alternating sum,
-    over those columns j in order, of rows[r][j] times the minor of `used |
-    1 << j`; a zero entry is skipped.  So a minor depends only on its column
-    set: each is built once, from the last row up, and only if a chain of
-    nonzero entries reaches it.  The minors and then the terms they hold
-    count against the tower's NODE_BUDGET, read at call time; past it,
-    TowerBudgetError."""
+def _laplace(rows: list, zero, one, join, size):
+    """The determinant by Laplace expansion along the first row, in the
+    caller's ring: `zero()` is a new empty sum, `one` the minor of no rows,
+    `join(acc, a, minor, k)` returns acc + (-1)^k * a * minor.  The minor of
+    rows r.. over the columns outside `used` (a bit set of r columns) sums
+    over those columns j in order, skipping zero (falsy) entries, rows[r][j]
+    times the minor of `used | 1 << j`.  So each minor is built once, from
+    the last row up, if a chain of nonzero entries reaches it.  The minors,
+    then their `size`s, count against the tower's NODE_BUDGET, read at call
+    time; past it, TowerBudgetError."""
     from .tower import NODE_BUDGET, TowerBudgetError  # tower imports this module
 
     n = len(rows)
     over = f"the minors of the {n} x {n} determinant exceed the node budget ({NODE_BUDGET})"
     levels = [[0]]  # levels[r]: the column sets of the minors of rows r.. reached
-    size = 1
+    total = 1
     for row in rows[:-1]:
-        reached: dict = {}  # ordered, so the work is the same on every run
-        for used in levels[-1]:
-            for j, a in enumerate(row):
-                if a and not used >> j & 1:
-                    reached[used | 1 << j] = None
-            if size + len(reached) > NODE_BUDGET:
-                raise TowerBudgetError(over)
-        size += len(reached)
-        levels.append(list(reached))
-    minors = {(1 << n) - 1: ex._nf_const(1)}
+        # a dict keeps its order, so the work is the same on every run
+        reached = dict.fromkeys(used | 1 << j for used in levels[-1] for j, a in enumerate(row)
+                                if a and not used >> j & 1)
+        total += len(reached)
+        if total > NODE_BUDGET:
+            raise TowerBudgetError(over)
+        levels.append(reached)
+    minors = {(1 << n) - 1: one}
     for r in range(n - 1, -1, -1):
         for used in levels[r]:
-            acc: dict = {}
-            sign = 1
+            acc = zero()
+            k = 0
             for j, a in enumerate(rows[r]):
                 if used >> j & 1:
                     continue
                 if a:
-                    ex._nf_addmul(acc, a if sign > 0 else ex._nf_scale(a, -1), minors[used | 1 << j])
-                sign = -sign
-            size += len(acc)
-            if size > NODE_BUDGET:
+                    acc = join(acc, a, minors[used | 1 << j], k)
+                k += 1
+            total += size(acc)
+            if total > NODE_BUDGET:
                 raise TowerBudgetError(over)
             minors[used] = acc
     return minors[0]
 
 
+def _nf_join(acc: dict, a: dict, minor: dict, k: int) -> dict:
+    return ex._nf_addmul(acc, a if k % 2 == 0 else ex._nf_scale(a, -1), minor)
+
+
+def _tree_join(acc, a: Expression, minor, k: int) -> Expression:
+    # None is the empty sum and the minor of no rows: no sum of variables is empty
+    term = a if minor is None else ex.mul(a, minor)
+    return term if acc is None else ex.add(acc, term) if k % 2 == 0 else ex.sub(acc, term)
+
+
 @lru_cache(maxsize=8)
 def det_kernel(n: int):
-    """The kernel of the n x n determinant (`_det_nf`) over the
-    columns Z[i n + j] = J_ij (row-major): elementwise products and sums,
-    so a row of a batch has the bits of its matrix alone on every host,
-    where a LAPACK LU determinant rounds as the BLAS build does."""
-    rows = [[ex._to_nf(ex.Var(i * n + j + 1)) for j in range(n)] for i in range(n)]
-    return compile_components([ex._canonical(_det_nf(rows))])
+    """The kernel of the n x n determinant over the columns Z[i n + j] = J_ij
+    (row-major): `_laplace` as a tree of variables whose minors are shared
+    subtrees, at most n 2^(n-1) products, so only the minors count.  A row
+    of a batch has the bits of its matrix alone on every host."""
+    rows = [[ex.Var(i * n + j + 1) for j in range(n)] for i in range(n)]
+    return compile_components([_laplace(rows, lambda: None, None, _tree_join, lambda t: 0)])
 
 
 def jacobian(m) -> JacobianMatrix:
@@ -213,11 +222,18 @@ def is_involution(m: SmoothMap, box: Optional[DomainBox] = None, trials: int = 2
 def is_measure_preserving(
     m: SmoothMap, box: Optional[DomainBox] = None, trials: int = 200, rng=None
 ) -> Verdict:
-    """Volume preservation via |det J| = 1, tested as (det J)^2 - 1 = 0 on
-    the canonical form of det J, in every dimension."""
+    """Volume preservation via |det J| = 1, tested as (det J)^2 - 1 = 0.  Only
+    the polynomials 1 and -1 square to 1, so a nonconstant polynomial det J
+    fails at once: its square is sampled for witnesses, never expanded."""
     box = box or m.domain
     d = jacobian(m).det()
-    v = identically_zero(ex.sub(ex.mul(d, d), ex.ONE), box, trials, rng=rng)
+    residual = ex.sub(ex.mul(d, d), ex.ONE)
+    if ex.is_polynomial(d) and ex.max_var_index(d) > 0:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        witnesses = ex._certain_nonzero_witnesses(residual, box, trials, rng)
+        v = Verdict(Status.FAILS, Certainty.CERTAIN, max(w[1] for w in witnesses), witnesses, "a nonconstant polynomial")
+    else:
+        v = identically_zero(residual, box, trials, rng=rng)
     return v.with_notes(f"det J = {to_string(d)}; {v.notes}")
 
 

@@ -14,6 +14,7 @@ from symflow.checks import (
     fixed_points,
     tower_order_verdicts,
 )
+from symflow.expr import Const
 from symflow.fields import JacobianMatrix, SmoothMap, VectorField, identity_map
 from symflow.geometry import DomainBox
 from symflow.parser import parse
@@ -290,6 +291,23 @@ class TestDeltaNoninvertibility:
         assert v.status is Status.FAILS and v.certainty is Certainty.PROBABILISTIC
         assert v.witnesses == (((0.1, 0.2, 0.3), v.residual_max),)
         assert np.isfinite(v.residual_max)
+
+    def test_exact_branch_takes_the_determinant_of_exact_values(self, monkeypatch):
+        # a polynomial determinant commutes with evaluation, so the entries
+        # of J_Delta are evaluated at z0 before the determinant is taken
+        det = JacobianMatrix.det
+
+        def of_constants(self):
+            assert all(isinstance(e, Const) for row in self.entries for e in row)
+            return det(self)
+
+        monkeypatch.setattr(JacobianMatrix, "det", of_constants)
+        n = 6
+        F = VectorField([parse(f"z{i % n + 1} - z{i}^2 + z{(i + 1) % n + 1}*z{i}", n) for i in range(1, n + 1)],
+                        DomainBox.cube(-2, 2, n))
+        v = check_delta_noninvertibility(F, (0,) * n, default_selection(n))
+        assert (v.status, v.certainty) == (Status.HOLDS, Certainty.CERTAIN)
+        assert v.notes == "det J_Delta(z0) = 0 exactly; assumes sigma is non-trivial in every neighbourhood of z0"
 
     def test_rejects_non_fixed_point(self):
         F = field2("y + x^2", "-x")

@@ -359,6 +359,23 @@ class TestCleanExit:
         err = capsys.readouterr().err
         assert err == "symflow: the minors of the 18 x 18 determinant exceed the node budget (100000)\n"
 
+    def test_dense_quadratic_sigma_is_decided_without_squaring_its_determinant(self, tmp_path, capsys):
+        # every component of sigma holds all 21 quadratic monomials of six
+        # variables, so det J is a polynomial of degree 6 with 290 terms
+        n = 6
+        lines = [f"dim={n}"] + [f"F{i}=z{i % n + 1}" for i in range(1, n + 1)]
+        lines += [f"S{i}=z{i} + " + " + ".join(f"{1 + (i + j * k) % 5}/7*z{j}*z{k}"
+                                              for j in range(1, n + 1) for k in range(j, n + 1))
+                  for i in range(1, n + 1)]
+        spec = write(tmp_path, "quadratic.spec", "\n".join(lines) + "\n")
+        start = time.perf_counter()
+        assert main(["check", spec, "--kind", "symmetry"]) == 1
+        assert time.perf_counter() - start < 10.0
+        (volume,) = [c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]
+                     if c["name"] == "measure_preserving"]
+        assert (volume["status"], volume["certainty"]) == ("fails", "certain")
+        assert volume["notes"].startswith("det J = ") and volume["notes"].endswith("; a nonconstant polynomial")
+
     def test_law_orders_over_budget_are_inconclusive(self, tmp_path, capsys, monkeypatch):
         # orders 0 and 1 of this field fit in 15 nodes; the table also
         # builds orders 2 and 3 for the tower law, and order 2 has 23

@@ -100,9 +100,11 @@ class TestDeterminant:
             want = to_string(simplify(cr._cofactor_det([list(r) for r in rows])))
             assert to_string(JacobianMatrix(tuple(map(tuple, rows))).det()) == want
 
-    def test_kernel_of_two_dimensions_is_the_cofactor_kernel(self):
-        rows = [[Var(1), Var(2)], [Var(3), Var(4)]]
-        assert det_kernel(2).source == compile_components([cr._cofactor_det(rows)]).source
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_kernel_is_the_cofactor_kernel(self, n):
+        # the shared minors emit as the cofactor tree's equal subtrees did
+        rows = [[Var(i * n + j + 1) for j in range(n)] for i in range(n)]
+        assert det_kernel(n).source == compile_components([cr._cofactor_det(rows)]).source
 
     def test_zero_entries_are_skipped(self, monkeypatch):
         # a diagonal matrix reaches one minor per row and multiplies no zero
@@ -258,7 +260,7 @@ class TestMeasurePreserving:
             warnings.simplefilter("error", RuntimeWarning)
             v = is_measure_preserving(SmoothMap(comps, DomainBox.cube(-3, 3, 5)))
         assert v.status is Status.FAILS and v.certainty is Certainty.PROBABILISTIC
-        assert np.isfinite(v.residual_max) and v.witnesses
+        assert np.isfinite(v.residual_max) and len(v.witnesses) == 2
         assert v.notes.startswith("det J = exp(exp(exp(x)))*exp(exp(x))*exp(x); sampled ")
         assert v.notes.endswith(" evaluation errors skipped")
 
@@ -274,6 +276,20 @@ class TestMeasurePreserving:
         v = is_involution(sigma)
         assert v.status is (Status.HOLDS if involution else Status.FAILS)
         assert v.certainty is Certainty.CERTAIN
+
+    def test_nonconstant_polynomial_fails_without_expanding_the_square(self, monkeypatch):
+        # only the constants 1 and -1 square to 1; the witnesses come from
+        # samples of (det J)^2 - 1, which is never simplified
+        def refuse(e):
+            raise AssertionError("simplified")
+
+        monkeypatch.setattr(ex, "simplify", refuse)
+        v = is_measure_preserving(map2("x*y", "y"))
+        assert (v.status, v.certainty) == (Status.FAILS, Certainty.CERTAIN)
+        assert v.notes == "det J = y; a nonconstant polynomial"
+        assert v.witnesses and v.residual_max == v.witnesses[0][1]
+        for p, r in v.witnesses:
+            assert r == abs(p[1] * p[1] - 1) > 0
 
     def test_high_dimension_dilation_fails(self):
         comps = [parse("2*z1", 5)] + [parse(f"z{i}", 5) for i in range(2, 6)]

@@ -246,6 +246,15 @@ class TestLiouville:
             assert reg.contains_rows(pts).all()
             assert final(zT[:, 0]).all() and np.isfinite(zT[:, 1]).all()
 
+    def test_eight_dimensions_give_a_verdict(self):
+        # the determinant kernel shares its minors: 8 2^7 products, under
+        # the node budget that its 8! expanded terms would exceed
+        n = 8
+        F = VectorField([parse(f"z{i % n + 1}^2 - z{i}", n) for i in range(1, n + 1)], DomainBox.cube(-2, 2, n))
+        v = check_liouville(F, DomainBox.cube(0.1, 0.3, n), t_max=0.2, mc_points=200, seed=5)
+        assert v.status is Status.HOLDS
+        assert v.notes.startswith("volume slope -2.10305e-05 vs divergence integral -2.048e-05")
+
     def test_calls_no_lapack_determinant_and_stacks_no_state(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("called")
