@@ -10,10 +10,17 @@ are polynomial, in which case identities are decided through canonical
 forms.  Any transcendental ingredient downgrades the whole check to
 sampling, even when local rewrites happen to cancel everything.
 
-On the sampled branch nothing is composed: a law such as D_j(sigma(z)) =
-s_j D_j(z) is tested by evaluating sigma at the sample points and each side
-at its own points, sigma(z) or z (`expr.sampled_law_verdict`), with sigma
-compiled once per check and each side once.
+On the sampled branch nothing is composed and no tower is built.  sigma is
+compiled once per check and evaluated at the sample points Z.  The
+structural identity evaluates each side at its own points, sigma(Z) or Z
+(`expr.sampled_law_verdict`).  The tower law D_j(sigma(z)) = s_j D_j(z)
+reads every order at once from one Taylor-jet run of F and div F over the
+columns [Z | sigma(Z)] (`numeric.compile_jets`): D_j is j! times the t^j
+coefficient of div F along the solution through the point, so the node
+budget, which bounds symbolic towers, does not bound it.  A row's scale
+at order j is its largest |subterm| of sigma at z, |k! c_k| of every jet
+subterm for k <= j at z and at sigma(z), and |residual|; a row where any
+of these is not finite is an evaluation error.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expression, identically_zero, sampled_law_verdict
-from .fields import JacobianMatrix, SmoothMap, VectorField, det_kernel, jacobian
+from .fields import JacobianMatrix, SmoothMap, VectorField, det_kernel, divergence, jacobian
 from .geometry import DomainBox, Point, as_point
-from .numeric import compile_components, compile_scaled, newton_batch
+from .numeric import compile_components, compile_jets, compile_scaled, newton_batch
 from .tower import DivergenceTower, Selection, build_tower, delta_map
 from .verdict import CheckKind, Verdict, combine, exact_value_verdict, threshold_verdict
 
@@ -86,26 +93,47 @@ def tower_order_verdicts(
 
     Order j must satisfy D_j(sigma(z)) = s_j D_j(z) with s_j = +1 for a
     symmetry and s_j = (-1)^(j+1) for a reversibility.  A given tower must
-    hold orders 0..max_order.
+    hold orders 0..max_order.  Polynomial data decide each order exactly on
+    the tower's canonical forms; otherwise every order is sampled at one
+    draw of points, its values taken from F's jets, not from the tower.
     """
     _require_same_dimension(F, sigma)
     box = box or F.domain
     rng = rng if rng is not None else np.random.default_rng(0)
-    tower = tower or build_tower(F, max_order)
-    if tower.max_order < max_order:
+    if tower is not None and tower.max_order < max_order:
         raise ValueError(f"tower holds orders 0..{tower.max_order}, but max_order is {max_order}")
-    exact = F.is_polynomial() and sigma.is_polynomial()
-    image = None if exact else compile_scaled(sigma.components)
+    if F.is_polynomial() and sigma.is_polynomial():
+        tower = tower or build_tower(F, max_order)
+        verdicts = []
+        for j in range(max_order + 1):
+            dj = tower.orders[j]
+            lhs = ex.compose(dj, sigma.components)
+            residual = ex.sub(lhs, dj) if kind.tower_sign(j) == 1 else ex.add(lhs, dj)
+            verdicts.append(identically_zero(residual, box, trials, rng=rng))
+    else:
+        verdicts = _sampled_tower_verdicts(F, sigma, kind, max_order, box, trials, rng)
+    return [v.with_notes(f"order {j} (sign {kind.tower_sign(j):+d}): {v.notes}") for j, v in enumerate(verdicts)]
+
+
+def _sampled_tower_verdicts(F, sigma, kind, max_order, box, trials, rng) -> List[Verdict]:
+    """The tower law at `trials` points Z of the box, drawn once: sigma's
+    kernel gives sigma(Z), and one jet run of F and div F over the columns
+    [Z | sigma(Z)] gives every order at both (see the module docstring for
+    each row's scale)."""
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pts = box.sample(rng, trials)
+    image, sigma_scale, sigma_ok = compile_scaled(sigma.components)(pts.T)
+    (D,), jet_scale = compile_jets(F.components, [divergence(F)])(np.hstack([pts.T, image]), max_order)
     out = []
     for j in range(max_order + 1):
-        dj = tower.orders[j]
-        s = kind.tower_sign(j)
-        if exact:
-            lhs = ex.compose(dj, sigma.components)
-            v = identically_zero(ex.sub(lhs, dj) if s == 1 else ex.add(lhs, dj), box, trials, rng=rng)
-        else:
-            v = sampled_law_verdict(image, dj, dj, s, box, trials, rng)
-        out.append(v.with_notes(f"order {j} (sign {s:+d}): {v.notes}"))
+        with np.errstate(all="ignore"):
+            residual = np.abs(D[j, trials:] - kind.tower_sign(j) * D[j, :trials])
+        # max propagates NaN; rows that are not ok are skipped whatever their scale
+        scale = np.maximum.reduce([sigma_scale, jet_scale[j, :trials], jet_scale[j, trials:], residual])
+        out.append(ex._relative_verdict(pts, residual, scale, sigma_ok & np.isfinite(scale)))
     return out
 
 

@@ -482,6 +482,9 @@ _NF, _HASH, _TEXT = attrgetter("_nf"), attrgetter("_hash"), attrgetter("_text")
 # image is its map component, an atom's is `_nf_func(name, image of its
 # argument)`, which orients a sin/cos argument as simplify does, and an
 # opaque base's is the image of the NF of its tree, raised by `_nf_pow`.
+# Both make the derivative or image of every base under a nested atom or
+# opaque base innermost first, over an explicit stack (`_bottom_up`), so a
+# deep nest meets no recursion limit.
 # ---------------------------------------------------------------------------
 
 _FUNC_RANK = {"sin": 0, "cos": 1, "exp": 2, "log": 3}
@@ -823,17 +826,39 @@ def polynomial_terms(e: Expression):
 # ---------------------------------------------------------------------------
 
 
-def _base_diff(bk, var: int) -> dict:
-    """d/dz_var of a base bk that is not a variable: du for an opaque base
-    ("e", u), and the chain rule for an atom ("f", name, u)."""
+def _bottom_up(todo: list, done: dict, make) -> None:
+    """Set done[bk] = make(bk, NF of bk's tree) for every base bk in todo
+    and every base under it, through atoms' arguments and opaque bases'
+    trees, innermost first, with an explicit stack: a base is made once
+    every base under it that is not a variable is in done, so make never
+    meets a base that is not made yet."""
+    args: dict = {}  # base -> the NF of its argument, or of its opaque tree
+    while todo:
+        bk = todo[-1]
+        if bk in done:
+            todo.pop()
+            continue
+        inner = args.get(bk)
+        if inner is None:
+            inner = args[bk] = _to_nf(bk[1] if bk[0] == "e" else bk[2])
+            missing = [b for m in inner for b, _ in m if b[0] != "v" and b not in done]
+            if missing:
+                todo += missing
+                continue
+        todo.pop()
+        done[bk] = make(bk, inner)
+
+
+def _base_diff(bk, u_nf: dict, du: dict) -> dict:
+    """d/dz of a base bk that is not a variable, from the NF u_nf under it
+    and that NF's derivative du: du for an opaque base ("e", u), and the
+    chain rule for an atom ("f", name, u)."""
     if bk[0] == "e":
-        return _nf_diff(_to_nf(bk[1]), var)
+        return du
     _, name, u = bk
-    u_nf = _to_nf(u)
     if name == "log":
         # inverted even where du = 0, so that log(0) raises as du/u does
         outer = _nf_invert(u_nf)
-    du = _nf_diff(u_nf, var)
     if not du:
         return {}
     if name == "sin":
@@ -845,12 +870,15 @@ def _base_diff(bk, var: int) -> dict:
     return _nf_mul(outer, du)
 
 
-def _nf_diff(nf: dict, var: int) -> dict:
+def _nf_diff(nf: dict, var: int, bases: dict = None) -> dict:
     """d/dz_var of an NF, by the product rule over each monomial's factors:
     z_var lowers its exponent by one, and any other base's power p gives
-    p base^(p-1) d(base)."""
+    p base^(p-1) d(base).  bases holds the derivative of each base met so
+    far; a base's is made with those of every base under it, innermost
+    first (`_bottom_up`), so nested atoms do not recurse."""
+    if bases is None:
+        bases = {}
     out: dict = {}
-    bases: dict = {}  # base -> its derivative
     for m, c in nf.items():
         for k, (bk, p) in enumerate(m):
             if bk[0] == "v":
@@ -860,7 +888,8 @@ def _nf_diff(nf: dict, var: int) -> dict:
             else:
                 d = bases.get(bk)
                 if d is None:
-                    d = bases[bk] = _base_diff(bk, var)
+                    _bottom_up([bk], bases, lambda b, u: _base_diff(b, u, _nf_diff(u, var, bases)))
+                    d = bases[bk]
                 if not d:
                     continue
             q = p - 1
@@ -898,9 +927,14 @@ def _nf_compose(nf: dict, maps: Sequence[Expression]) -> dict:
     """nf with maps[i-1] substituted for variable i.  A variable's image is
     the NF of its map component, an atom's image is its function of the
     image of its argument, and an opaque base's image is the image of the
-    NF of its tree; the powers of each image are built once and
-    shared between terms and between nested atoms."""
+    NF of its tree; the images of nested bases are made innermost first
+    (`_bottom_up`), and the powers of each image are built once and shared
+    between terms and between nested atoms."""
     powers: dict = {}
+    images: dict = {}  # base that is not a variable -> its image
+
+    def image(bk, u):
+        return substitute(u) if bk[0] == "e" else _nf_func(bk[1], substitute(u))
 
     def power(bk, p):
         got = powers.get((bk, p))
@@ -910,10 +944,9 @@ def _nf_compose(nf: dict, maps: Sequence[Expression]) -> dict:
                     if bk[1] > len(maps):
                         raise ExprError(f"expression uses variable {bk[1]} but only {len(maps)} components given")
                     got = _to_nf(maps[bk[1] - 1])
-                elif bk[0] == "e":
-                    got = substitute(_to_nf(bk[1]))
                 else:
-                    got = _nf_func(bk[1], substitute(_to_nf(bk[2])))
+                    _bottom_up([bk], images, image)
+                    got = images[bk]
             elif type(p) is int and p > 1:
                 k = p - 1  # a loop up from the highest power built: p deep recursion overflows
                 while k > 1 and (bk, k) not in powers:
@@ -1175,15 +1208,13 @@ def sampled_zero_verdict(
 def _sample_law(sigma, lhs: Expression, rhs: Expression, sign: int, box: DomainBox, trials: int, rng) -> tuple:
     """Draw `trials` points z of the box once and evaluate
     lhs(sigma(z)) - sign * rhs(z) at all of them: (points, |residual|,
-    scale, ok) per row.  When lhs is rhs, one kernel serves both sides."""
+    scale, ok) per row."""
     from .numeric import compile_scaled  # numeric imports this module
 
     pts = box.sample(rng, trials)
     image, scale, ok = sigma(pts.T)
-    lhs_kernel = compile_scaled([lhs])
-    rhs_kernel = lhs_kernel if rhs is lhs else compile_scaled([rhs])
-    (left,), ls, lk = lhs_kernel(image)
-    (right,), rs, rk = rhs_kernel(pts.T)
+    (left,), ls, lk = compile_scaled([lhs])(image)
+    (right,), rs, rk = compile_scaled([rhs])(pts.T)
     with np.errstate(all="ignore"):
         residual = np.abs(left - right if sign == 1 else left + right)
     # max propagates NaN; rows that are not ok are skipped whatever their scale
@@ -1198,10 +1229,10 @@ def sampled_law_verdict(sigma, lhs: Expression, rhs: Expression, sign: int, box:
 
     sigma is the map's kernel, `numeric.compile_scaled(sigma.components)`,
     so a caller compiles the map once per check; lhs and rhs are compiled
-    here, once each, or once in all when lhs is rhs (a tower order).
-    Nothing is composed symbolically.  The relative tolerance is set, as in
-    `sampled_zero_verdict`, by the largest |subterm| of an ok row: over
-    sigma's subterms at z, lhs's at sigma(z), rhs's at z and |residual|.
+    here, once each.  Nothing is composed symbolically.  The relative
+    tolerance is set, as in `sampled_zero_verdict`, by the largest
+    |subterm| of an ok row: over sigma's subterms at z, lhs's at sigma(z),
+    rhs's at z and |residual|.
     A row where any of these is not finite is an evaluation error, skipped
     and counted.
     """

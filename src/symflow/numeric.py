@@ -26,7 +26,11 @@ source text and no `exec`: the same operators and functions in the same
 order, so the same bits.  It also returns per row the largest |subterm|,
 which sets the relative tolerance, and a mask of the rows where every
 subterm is finite, which are the rows the tree walk `expr.evaluate` can
-evaluate.
+evaluate.  `compile_jets` runs the same tape in Taylor mode: with a field F
+on the tape beside its expressions, it propagates the Taylor coefficients
+of the solution through each point, and of every subterm along it, so an
+expression's derivatives along the flow come from F's tape alone, with no
+Lie derivative taken.  Its coefficient 0 has `compile_scaled`'s bits.
 
 Every RK4 integration goes through `rk4_march`, which marches one stacked
 state: a C-contiguous array with one row per component and one column per
@@ -309,6 +313,208 @@ def compile_scaled(exprs: Sequence[Expression]) -> Callable[[np.ndarray], tuple]
                     np.maximum(scale[block], np.abs(np.array(temps)).max(axis=0), out=scale[block])
         # max propagates NaN, so one non-finite subterm makes the scale so
         return values, scale, np.isfinite(scale)
+
+    return run
+
+
+# float64 cells per block of a jet run: every slot's coefficients of one
+# block, 8 MiB in all
+JET_BLOCK_CELLS = 1 << 20
+
+
+def _jet_program(em: _Emitter, flow: list) -> tuple:
+    """The emitter's tape as steps (op, dest, a, b) over coefficient slots,
+    tape entry t in slot t: add/sub/mul/div keep their constant operands
+    as floats; an integer power becomes `int_power`'s chain of "mul" steps
+    (intermediates in extra slots), "copy" of a slot or of the constant 1,
+    and a "div" of 1 by the chain for a negative exponent; sin and cos of
+    one argument are one "sincos" step into both slots, the one off the
+    tape an extra slot; column i reads the series of flow[i].  Returns
+    (steps, slot count, {constant slot: value})."""
+    steps: list = []
+    slots = len(em.tape)
+    consts: dict = {}  # literal -> (slot, value)
+
+    def extra() -> int:
+        nonlocal slots
+        slots += 1
+        return slots - 1
+
+    def const(v: float) -> int:
+        got = consts.get(_literal(v))
+        if got is None:
+            got = consts[_literal(v)] = (extra(), v)
+        return got[0]
+
+    def chain(x: int, k: int, dest: int):
+        # int_power(x, k), k >= 2, into dest: int_power(x*x, k >> 1), times x when k is odd
+        half, odd = k >> 1, k & 1
+        square = dest if half == 1 and not odd else extra()
+        steps.append(("mul", square, x, x))
+        y = square
+        if half > 1:
+            y = extra() if odd else dest
+            chain(square, half, y)
+        if odd:
+            steps.append(("mul", dest, y, x))
+
+    paired: set = set()
+    for t, (op, a, b) in enumerate(em.tape):
+        if op == "col":
+            o = flow[a]
+            steps.append(("col", t, a, o if o.__class__ is int else const(o)))
+        elif op == "pow":
+            if b == 0 or b == 1:
+                steps.append(("copy", t, a if b else const(1.0), None))
+            elif b > 1:
+                chain(a, b, t)
+            else:
+                r = a
+                if b < -1:
+                    r = extra()
+                    chain(a, -b, r)
+                steps.append(("div", t, 1.0, r))
+        elif op in ("sin", "cos"):
+            if a not in paired:
+                paired.add(a)
+                other = em._keys.get(("cos" if op == "sin" else "sin", a, None))
+                if other is None:
+                    other = extra()
+                steps.append(("sincos",) + ((t, other) if op == "sin" else (other, t)) + (a,))
+        else:
+            steps.append((op, t, a, b))
+    return steps, slots, dict(consts.values())
+
+
+def _dot(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """sum_i x[i] y[i] over the leading axis: one coefficient of a product."""
+    return np.einsum("ij,ij->j", x, y, out=out)
+
+
+def _jet_step(C: np.ndarray, k: int, op: str, d: int, a, b) -> None:
+    """Coefficient k of step (op, d, a, b) of `_jet_program`, from its
+    operands' coefficients 0..k and its own 0..k-1, in C[slot, order, row]:
+    Cauchy products, the quotient recurrence, and the recurrences of exp,
+    log, the sin/cos pair, sqrt and float_power u^b (Griewank & Walther,
+    Evaluating Derivatives, 2nd ed., 2008, ch. 13).  Coefficient 0 applies
+    the tape's own operation, so it has the bits `_Emitter.run` gives;
+    columns' coefficient 0 is the caller's."""
+    w = C[d]
+    if op == "col":  # z_k = F(z)_{k-1} / k
+        np.divide(C[b, k - 1], k, out=w[k])
+        return
+    u = C[a] if a.__class__ is int else None
+    if op in _BINARY:
+        v = C[b] if b.__class__ is int else None
+        if k == 0:
+            w[0] = _BINARY[op](a if u is None else u[0], b if v is None else v[0])
+        elif op == "mul":
+            if u is None or v is None:
+                np.multiply(a if u is None else u[k], b if v is None else v[k], out=w[k])
+            else:
+                _dot(u[: k + 1], v[k::-1], out=w[k])
+        elif op == "div":
+            if v is None:
+                np.divide(u[k], b, out=w[k])
+            else:  # v w = u
+                acc = _dot(v[1 : k + 1], w[k - 1 :: -1])
+                np.divide(np.negative(acc, out=acc) if u is None else u[k] - acc, v[0], out=w[k])
+        elif v is None:  # u +- constant
+            w[k] = u[k]
+        elif u is None:  # constant +- v
+            w[k] = v[k] if op == "add" else -v[k]
+        else:
+            (np.add if op == "add" else np.subtract)(u[k], v[k], out=w[k])
+        return
+    if op == "copy":
+        w[k] = u[k]
+    elif op == "neg":
+        np.negative(u[k], out=w[k])
+    elif op == "sincos":  # d holds sin(u), a cos(u), b is u
+        c, u = C[a], C[b]
+        if k == 0:
+            np.sin(u[0], out=w[0])
+            np.cos(u[0], out=c[0])
+        else:  # s' = u' c, c' = -u' s
+            du = u[1 : k + 1] * (np.arange(1, k + 1) / k)[:, None]
+            _dot(du, c[k - 1 :: -1], out=w[k])
+            np.negative(_dot(du, w[k - 1 :: -1]), out=c[k])
+    elif k == 0:
+        if op == "float_power":
+            np.float_power(u[0], b, out=w[0])
+        else:
+            getattr(np, op)(u[0], out=w[0])
+    elif op == "exp":  # w' = u' w
+        _dot(u[1 : k + 1] * (np.arange(1, k + 1) / k)[:, None], w[k - 1 :: -1], out=w[k])
+    elif op == "log":  # u w' = u'
+        acc = _dot(w[1:k] * (np.arange(1, k) / k)[:, None], u[k - 1 : 0 : -1])
+        np.divide(u[k] - acc, u[0], out=w[k])
+    elif op == "sqrt":  # w w = u
+        np.divide(u[k] - _dot(w[1:k], w[k - 1 : 0 : -1]), 2.0 * w[0], out=w[k])
+    else:  # float_power: u w' = b u' w
+        i = np.arange(1, k + 1)
+        acc = _dot(u[1 : k + 1] * ((b * i - (k - i)) / k)[:, None], w[k - 1 :: -1])
+        np.divide(acc, u[0], out=w[k])
+
+
+def compile_jets(flow: Sequence[Expression], exprs: Sequence[Expression]) -> Callable[[np.ndarray, int], tuple]:
+    """Compile the field with components `flow` and k expressions into
+    f(Z, order) -> (derivs, scale) over columns Z of shape (n, N), n the
+    number of components.  derivs[i, j], for j = 0..order, is the j-th
+    derivative of exprs[i] along the field's solutions at z,
+    j! [t^j] exprs[i](phi_t(z)), which is L_F^j exprs[i](z).  scale[j] is
+    per row the largest |k! c_k| over the Taylor coefficients c_k, k <= j,
+    of every subterm (variables included, constants at k = 0), and not
+    finite where any of them is not.
+
+    This is the emitter's tape run in Taylor mode: one tape holds the field
+    and the expressions, each coordinate's series grows by
+    z_{k+1} = F(z)_k / (k + 1), and each tape entry's series follows from
+    its operands' by the recurrences of `_jet_step`.  Coefficient 0 of every
+    subterm has the bits `compile_scaled` gives it.  An integer power
+    multiplies series along `int_power`'s chain, never dividing by its
+    base, so a zero base is no fault.  Rows run in blocks of at most
+    JET_BLOCK_CELLS coefficients in all, under np.errstate."""
+    em = _Emitter()
+    field = [em.emit(c) for c in flow]
+    outs = [em.emit(e) for e in exprs]
+    if em.nvars > len(field):
+        raise ValueError(f"an expression uses variable {em.nvars}, but the field has {len(field)} components")
+    steps, slots, const_slots = _jet_program(em, field)
+    columns = [(d, i) for op, d, i, _ in steps if op == "col"]
+    consts = np.abs(np.array(em.consts, dtype=float))
+    const_scale = float(consts.max(initial=0.0)) if np.isfinite(consts).all() else math.nan
+    tape = len(em.tape)
+
+    def run(Z, order: int):
+        Z = np.asarray(Z, dtype=float)
+        rows = Z.shape[1]
+        derivs = np.empty((len(outs), order + 1, rows))
+        scale = np.empty((order + 1, rows))
+        factorial = np.cumprod([1.0] + list(range(1, order + 1)))
+        block = max(1, JET_BLOCK_CELLS // (max(slots, 1) * (order + 1)))
+        with np.errstate(all="ignore"):
+            for lo in range(0, rows, block):
+                part = slice(lo, lo + block)
+                C = np.zeros((slots, order + 1, len(Z[0, part])))
+                for s, v in const_slots.items():
+                    C[s, 0] = v
+                for d, i in columns:
+                    C[d, 0] = Z[i, part]
+                top = np.full(C.shape[2], const_scale)
+                for k in range(order + 1):
+                    for op, d, a, b in steps:
+                        if k or op != "col":
+                            _jet_step(C, k, op, d, a, b)
+                    if tape:
+                        top = np.maximum(top, np.abs(C[:tape, k]).max(axis=0) * factorial[k])
+                    scale[k, part] = top
+                for i, o in enumerate(outs):
+                    if o.__class__ is int:
+                        np.multiply(C[o], factorial[:, None], out=derivs[i, :, part])
+                    else:
+                        derivs[i, 0, part], derivs[i, 1:, part] = o, 0.0
+        return derivs, scale
 
     return run
 

@@ -6,6 +6,12 @@ solutions: order 0 is div F, order j+1 is the derivative of order j along
 the flow (a Lie derivative).  A selection picks n tower orders; packing the
 selected entries gives a map R^n -> R^n whose transformation law under
 symmetries and reversibilities drives the structure checks.
+
+The symbolic tower serves the exact checks on polynomial data, the
+candidate tables, the fixed-set, level-set and non-invertibility checks,
+and the oracles.  A sampled tower law on non-polynomial data reads the same
+numbers from Taylor jets of F instead (`numeric.compile_jets`), so
+NODE_BUDGET bounds only symbolic towers.
 """
 
 from __future__ import annotations

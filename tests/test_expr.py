@@ -392,6 +392,17 @@ class TestLongChains:
         # numpy's sin need not be libm's, so a value may differ by an ulp
         assert ok[0] and value[0] == pytest.approx(evaluate(s, (0.5, 0.99)), rel=1e-12)
 
+    def test_calculus_walks_nested_atoms_without_recursion(self):
+        # every level of the nest is differentiated (to 0 in y) and composed
+        def nest(v):
+            for _ in range(self.N):
+                v = Unary("sin", v)
+            return v
+
+        s = simplify(Binary("mul", nest(Var(1)), Var(2)))
+        assert differentiate(s, 2) == simplify(nest(Var(1)))
+        assert compose(s, [Var(2), Var(1)]) == simplify(Binary("mul", nest(Var(2)), Var(1)))
+
 
 def test_polynomial_terms():
     assert ex.polynomial_terms(p2("3*x^2*y - y + 1/2")) == {

@@ -3,8 +3,10 @@
 `expr.sampled_law_verdict` tests a law lhs(sigma(z)) = sign * rhs(z) by
 evaluating sigma at the sample points, lhs at their images and rhs at the
 points, with kernels compiled once per map and per side.  The checks use it
-for the tower law and the structural identity whenever the field or the map
-is not polynomial, and compose nothing.
+for the structural identity whenever the field or the map is not
+polynomial, and compose nothing; the tower law reads F's Taylor jets at the
+points and at their images (tests/test_jets.py), and is held here to the
+same error rows.  The sweep below feeds tower orders to the helper too.
 
 The reference is the route it replaced, kept only here: compose the law
 symbolically, subtract, and sample the residual with
